@@ -6,9 +6,13 @@ lam -> ||T - lam*A||. Any minimizer lies in the closed interval (disk)
 of radius 2||T||/||A||, which bounds every search here.
 
 Both maps are convex, so the real center is found by golden-section
-search and the total center by a coarse grid, alternating per-coordinate
-golden-section, and a deterministic Nelder-Mead polish (the norm surface
-can have a kink at the minimizer, which stalls pure coordinate search).
+search and the total center by nested golden-section search: the outer
+search runs over Re lam, the inner one returns the minimum over Im lam.
+A partial minimum of a convex function is convex, so the outer objective
+is convex too and the nested search is exact for any convex map, kinks
+and flat minimizer sets included, with no seeds. Each inner search starts
+from the previous inner minimizer and grows its bracket downhill until
+convexity puts a minimizer inside, so the warm start costs no exactness.
 
 flat_interval approximates the exact minimizer set: the sub-level set of
 the residual plus a machine-noise-aware slack (never more than tol).
@@ -20,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize as _scipy_minimize
 
 from .errors import WitnessNotFound, ZeroRelativeOperator
 from .linalg import (
@@ -86,6 +89,28 @@ def _golden_min(f, a: float, b: float, width: float) -> tuple[float, float]:
             fd = f(d)
             note(d, fd)
     return best_x, best_v
+
+
+def _bracket_min(f, x: float, step: float, lo: float, hi: float) -> tuple[float, float]:
+    """Interval within [lo, hi] holding a minimizer of a convex f, grown from x.
+
+    Walks downhill from x with doubling steps; once f no longer drops at the
+    next point, convexity puts a minimizer between the last point's neighbours.
+    """
+    fx = f(x)
+    left, right = max(lo, x - step), min(hi, x + step)
+    fl, fr = f(left), f(right)
+    while fl < fx and left > lo:
+        right, fr, x, fx = x, fx, left, fl
+        step *= 2.0
+        left = max(lo, x - step)
+        fl = f(left)
+    while fr < fx and right < hi:
+        left, fl, x, fx = x, fx, right, fr
+        step *= 2.0
+        right = min(hi, x + step)
+        fr = f(right)
+    return left, right
 
 
 def _sublevel_edge(f, inside: float, outside: float, level: float) -> float:
@@ -173,23 +198,6 @@ def real_center_of_mass(T, A, tol: float = 1e-9) -> RealCenterResult:
     )
 
 
-def _alternate_golden(g, x: float, y: float, h0: float, floor: float) -> tuple[float, float]:
-    """Alternating per-coordinate golden-section with a shrinking bracket."""
-    h = h0
-    for _ in range(90):
-        nx, _ = _golden_min(lambda u: g(u, y), x - h, x + h, width=max(h * 1e-4, floor))
-        ny, _ = _golden_min(lambda v: g(nx, v), y - h, y + h, width=max(h * 1e-4, floor))
-        moved = max(abs(nx - x), abs(ny - y))
-        x, y = nx, ny
-        if moved > 0.45 * h:
-            h = min(2.0 * h, 4.0 * h0)
-        else:
-            h = 0.5 * h
-        if h <= floor:
-            break
-    return x, y
-
-
 def total_center_of_mass(T, A, tol: float = 1e-9) -> TotalCenterResult:
     """Complex scalar minimizing ||T - lam*A||, with non-uniqueness probing."""
     T, A = as_operator_pair(T, A)
@@ -207,39 +215,31 @@ def total_center_of_mass(T, A, tol: float = 1e-9) -> TotalCenterResult:
     def g(re: float, im: float) -> float:
         return float(np.linalg.svd(T - complex(re, im) * A, compute_uv=False)[0])
 
-    axis = np.linspace(-radius, radius, 41)
-    grid = (axis[:, None] + 1j * axis[None, :]).ravel()
-    grid_vals = _batched_norms(T, A, grid)
-    k = int(np.argmin(grid_vals))
-    best = (float(grid[k].real), float(grid[k].imag), float(grid_vals[k]))
+    width = 1e-12 * max(1.0, radius)
+    # The outer search compares inner minima, whose differences near a smooth
+    # outer minimum shrink quadratically, so the inner search resolves Im lam
+    # a thousand times finer (still several ulps of radius).
+    inner_width = 1e-15 * max(1.0, radius)
+    # Each inner bracket grows from the previous inner minimizer, with a first
+    # step as long as that minimizer's last move: inner minimizers settle as
+    # the outer search converges. best is (residual, re, im).
+    prev = [0.0, 0.0]
+    best = [math.inf, 0.0, 0.0]
 
-    floor = 1e-11 * max(1.0, radius)
-    ax, ay = _alternate_golden(g, best[0], best[1], h0=radius / 20.0, floor=floor)
-    av = g(ax, ay)
-    if av < best[2]:
-        best = (ax, ay, av)
+    def min_over_im(re: float) -> float:
+        def h(im: float) -> float:
+            return g(re, im)
 
-    d = 1e-3 * max(1.0, radius)
-    simplex = np.array(
-        [[best[0], best[1]], [best[0] + d, best[1]], [best[0], best[1] + d]]
-    )
-    nm = _scipy_minimize(
-        lambda p: g(p[0], p[1]),
-        x0=np.array([best[0], best[1]]),
-        method="Nelder-Mead",
-        options={
-            "initial_simplex": simplex,
-            "xatol": 1e-12 * max(1.0, radius),
-            "fatol": 1e-14 * max(1.0, nt),
-            "maxiter": 1200,
-            "maxfev": 1600,
-        },
-    )
-    if float(nm.fun) < best[2]:
-        best = (float(nm.x[0]), float(nm.x[1]), float(nm.fun))
+        lo, hi = _bracket_min(h, prev[0], max(prev[1], width), -radius, radius)
+        im, value = _golden_min(h, lo, hi, inner_width)
+        prev[:] = im, abs(im - prev[0])
+        if value < best[0]:
+            best[:] = value, re, im
+        return value
 
-    lambda0 = complex(best[0], best[1])
-    residual = best[2]
+    _golden_min(min_over_im, -radius, radius, width)
+    residual, re0, im0 = best
+    lambda0 = complex(re0, im0)
 
     probe_r = _UNIQUE_RADIUS * max(1.0, radius)
     angles = np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False)
@@ -314,6 +314,10 @@ def _total_form_witness(
     )
     y, best = res.argmin, res.value
 
+    # scipy.optimize is imported here, not at module level: it takes about
+    # half a second to import and nothing else in the package needs it.
+    from scipy.optimize import minimize
+
     # Near a zero of the form the valley is a cone far steeper across than
     # along, which caps gradient steps at ~|q| and stalls the sphere search;
     # a simplex polish adapts its shape to the valley and finishes the job.
@@ -324,7 +328,7 @@ def _total_form_witness(
             return np.inf
         return value(z / nrm)
 
-    nm = _scipy_minimize(
+    nm = minimize(
         packed,
         np.concatenate([y.real, y.imag]),
         method="Nelder-Mead",

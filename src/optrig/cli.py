@@ -42,12 +42,7 @@ from .errors import (
 )
 from .linalg import maximizing_subspace, operator_norm, phase_normalize
 from .oracles import GridSpec, grid_min_complex, grid_min_real, sphere_refine_min
-from .ortho import (
-    attaining_interval,
-    is_real_orthogonal,
-    is_total_orthogonal,
-    total_pairing_min,
-)
+from .ortho import attaining_interval, is_real_orthogonal, is_total_orthogonal
 from .sphere_opt import SphereOptConfig
 from .trig import minmax_check_complex, minmax_check_real, total_trig_report, trig_report
 
@@ -354,21 +349,19 @@ def _cmd_orthogonal(
     diagnostics: dict[str, Any] = {"tolerances": {"verdict": tol}}
     if args.use_complex:
         verdict = is_total_orthogonal(T, A, tol=tol, cfg=cfg)
-        pairing, _ = total_pairing_min(T, A, cfg)
         results: dict[str, Any] = {
             "orthogonal": verdict.orthogonal,
             "route_w0": verdict.route_w0,
             "route_norm": verdict.route_norm,
-            "total_pairing_min": pairing,
+            "total_pairing_min": verdict.pairing_min,
         }
     else:
         verdict = is_real_orthogonal(T, A, tol=tol)
-        iv = attaining_interval(T, A)
         results = {
             "orthogonal": verdict.orthogonal,
             "route_w0": verdict.route_w0,
             "route_norm": verdict.route_norm,
-            "w0": [iv.lo, iv.hi],
+            "w0": [verdict.interval.lo, verdict.interval.hi],
         }
     witnesses = (
         {"witness": _vector_json(verdict.witness)} if verdict.witness is not None else {}

@@ -54,20 +54,6 @@ def inner(u: np.ndarray, v: np.ndarray) -> complex:
     return complex(np.vdot(v, u))
 
 
-def apply(T: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Matrix-vector product T @ x with shape checking."""
-    T = np.asarray(T)
-    x = np.asarray(x)
-    if T.ndim != 2 or T.shape[1] != x.shape[0]:
-        raise DimensionMismatch(f"cannot apply {T.shape} to {x.shape}")
-    return T @ x
-
-
-def adjoint(T: np.ndarray) -> np.ndarray:
-    """Conjugate transpose, the unique S with inner(Tx, y) == inner(x, Sy)."""
-    return np.asarray(T).conj().T
-
-
 def operator_norm(T: np.ndarray) -> float:
     """Largest singular value of T, i.e. max of ||Tx|| over unit x."""
     T = np.asarray(T, dtype=np.complex128)
@@ -135,14 +121,6 @@ def haar_unit_vector(rng: np.random.Generator, n: int) -> np.ndarray:
     while nrm < 1e-12:
         v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         nrm = np.linalg.norm(v)
-    return v / nrm
-
-
-def normalize(v: np.ndarray) -> np.ndarray:
-    """Scale v to unit norm."""
-    nrm = float(np.linalg.norm(v))
-    if nrm < 1e-300:
-        raise ZeroOperator("cannot normalize the zero vector")
     return v / nrm
 
 

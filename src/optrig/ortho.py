@@ -52,6 +52,10 @@ class OrthogonalityVerdict:
     route_w0: bool
     route_norm: bool
     witness: np.ndarray | None
+    # what route_w0 was decided from: the attaining interval (real verdicts)
+    # or the minimum of |<Tx, Ax>| over norm-attaining x (total verdicts)
+    interval: AttainingInterval | None = None
+    pairing_min: float | None = None
 
 
 def _pairing_matrix(T: np.ndarray, A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -159,7 +163,11 @@ def is_real_orthogonal(T, A, tol: float = 1e-6) -> OrthogonalityVerdict:
         y, _ = _real_form_witness(K)
         witness = phase_normalize(V @ y)
     return OrthogonalityVerdict(
-        orthogonal=via_w0, route_w0=via_w0, route_norm=via_norm, witness=witness
+        orthogonal=via_w0,
+        route_w0=via_w0,
+        route_norm=via_norm,
+        witness=witness,
+        interval=iv,
     )
 
 
@@ -191,5 +199,9 @@ def is_total_orthogonal(
         )
     witness = x if via_w0 else None
     return OrthogonalityVerdict(
-        orthogonal=via_w0, route_w0=via_w0, route_norm=via_norm, witness=witness
+        orthogonal=via_w0,
+        route_w0=via_w0,
+        route_norm=via_norm,
+        witness=witness,
+        pairing_min=pairing_min,
     )

@@ -13,6 +13,7 @@ from optrig import (
     operator_norm,
     real_center_of_mass,
     total_center_of_mass,
+    total_trig_report,
 )
 
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
@@ -48,6 +49,26 @@ def test_total_center_of_three_point_diagonal_is_circumcenter():
     tc = total_center_of_mass(np.diag(pts), np.eye(3))
     assert abs(tc.lambda0) < 1e-7
     assert tc.residual == pytest.approx(1.0, abs=1e-9)
+
+
+def test_total_center_of_identity_relative_to_non_diagonal_hpd():
+    # ||I - lam*T|| = max_i |1 - lam*mu_i| over the eigenvalues mu_i of T,
+    # minimized at lam = 2/(mu_min + mu_max) where the two cones meet in a
+    # kink; off-diagonal T tilts the kink away from the coordinate axes.
+    # Calling the center also extracts its witness, which raises
+    # WitnessNotFound when the search stops off the minimizer.
+    T = np.array(
+        [
+            [2.0631563212012303, 1.521737439354263 - 0.3299049768359532j],
+            [1.521737439354263 + 0.3299049768359532j, 1.5946928948163477],
+        ]
+    )
+    lo, hi = np.linalg.eigvalsh(T)
+    tc = total_center_of_mass(np.eye(2), T)
+    assert abs(tc.lambda0 - 2.0 / (lo + hi)) <= 1e-6
+    assert tc.residual == pytest.approx((hi - lo) / (hi + lo), abs=1e-12)
+    rep = total_trig_report(T)
+    assert rep.total_cos_direct == pytest.approx(2.0 * np.sqrt(lo * hi) / (lo + hi))
 
 
 @given(seeds, dims)

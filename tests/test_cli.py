@@ -44,6 +44,19 @@ def test_cos_reports_golden_values():
     assert doc["diagnostics"]["seed"] == 0
 
 
+def test_real_commands_do_not_import_scipy_optimize():
+    code = (
+        "import sys, optrig.cli; "
+        "optrig.cli.main(['cos', '--matrix', 'data/ex35.json']); "
+        "print('scipy.optimize' in sys.modules)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, cwd=PKG_ROOT
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
+
+
 def test_total_cos_with_verification():
     doc = report_of("total-cos", "--matrix", EX35, "--verify")
     assert doc["results"]["total_cos"] == pytest.approx(0.9101797, abs=1e-6)
