@@ -27,6 +27,7 @@ import numpy as np
 
 from .errors import WitnessNotFound, ZeroRelativeOperator
 from .linalg import (
+    _col_vdot,
     as_operator,
     as_operator_pair,
     maximizing_subspace,
@@ -298,16 +299,18 @@ def _total_form_witness(
         return y, abs(complex(K[0, 0]))
     KH = K.conj().T
 
-    def value(y: np.ndarray) -> float:
-        return abs(complex(np.vdot(y, K @ y)))
+    def value(Y: np.ndarray) -> np.ndarray:
+        return np.abs(_col_vdot(Y, K @ Y))
 
-    def gradient(y: np.ndarray) -> np.ndarray:
-        Ky = K @ y
-        q = complex(np.vdot(y, Ky))
-        aq = abs(q)
-        if aq < 1e-300:
-            return np.zeros_like(y)
-        return (np.conj(q) * Ky + q * (KH @ y)) / aq
+    def gradient(Y: np.ndarray) -> np.ndarray:
+        KY = K @ Y
+        q = _col_vdot(Y, KY)
+        aq = np.abs(q)
+        # the modulus has no gradient where the form vanishes; zero there
+        kink = aq < 1e-300
+        g = (np.conj(q) * KY + q * (KH @ Y)) / np.where(kink, 1.0, aq)
+        g[:, kink] = 0.0
+        return g
 
     res = minimize_on_sphere(
         value, k, cfg if cfg is not None else SphereOptConfig(), gradient=gradient
@@ -326,7 +329,7 @@ def _total_form_witness(
         nrm = np.linalg.norm(z)
         if nrm < 1e-12:
             return np.inf
-        return value(z / nrm)
+        return float(value((z / nrm)[:, None])[0])
 
     nm = minimize(
         packed,

@@ -1,6 +1,7 @@
 """Complex linear algebra primitives shared by every other module.
 
-Operators are square complex ndarrays, vectors are 1-d complex ndarrays.
+Operators are square complex ndarrays, vectors are 1-d complex ndarrays,
+and a block of m vectors is an (n, m) ndarray with one vector per column.
 The inner product is linear in the first slot and conjugate-linear in the
 second, so ``inner(u, v) == np.vdot(v, u)``.
 """
@@ -52,6 +53,15 @@ def inner(u: np.ndarray, v: np.ndarray) -> complex:
     if u.shape != v.shape:
         raise DimensionMismatch(f"vector shapes differ: {u.shape} vs {v.shape}")
     return complex(np.vdot(v, u))
+
+
+def _col_vdot(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Column-wise ``np.vdot``: entry j is vdot(X[:, j], Y[:, j]).
+
+    Private so that per-layer tracing, which wraps the public functions of
+    each module, leaves this innermost kernel of the sphere objectives alone.
+    """
+    return (X.conj() * Y).sum(axis=0)
 
 
 def operator_norm(T: np.ndarray) -> float:

@@ -28,6 +28,7 @@ from .center_of_mass import (
 )
 from .errors import RouteDisagreement, ZeroOperator, ZeroRelativeOperator
 from .linalg import (
+    _col_vdot,
     as_operator_pair,
     maximizing_subspace,
     operator_norm,
@@ -75,7 +76,11 @@ def attaining_interval(T, A) -> AttainingInterval:
     T, A = as_operator_pair(T, A)
     if operator_norm(T) == 0.0:
         raise ZeroOperator("attaining interval undefined for the zero operator")
-    V, K = _pairing_matrix(T, A)
+    return _interval_of(*_pairing_matrix(T, A))
+
+
+def _interval_of(V: np.ndarray, K: np.ndarray) -> AttainingInterval:
+    """Attaining interval from the pairing form K on the maximizing basis V."""
     kh = (K + K.conj().T) / 2.0
     lam, vec = np.linalg.eigh(kh)
     return AttainingInterval(
@@ -104,14 +109,14 @@ def attain_pairing_target(
         return phase_normalize(V[:, 0])
     kh = (K + K.conj().T) / 2.0
 
-    def value(y: np.ndarray) -> float:
-        q = float(np.real(np.vdot(y, kh @ y)))
+    def value(Y: np.ndarray) -> np.ndarray:
+        q = _col_vdot(Y, kh @ Y).real
         return (q - target) ** 2
 
-    def gradient(y: np.ndarray) -> np.ndarray:
-        khy = kh @ y
-        q = float(np.real(np.vdot(y, khy)))
-        return 4.0 * (q - target) * khy
+    def gradient(Y: np.ndarray) -> np.ndarray:
+        khY = kh @ Y
+        q = _col_vdot(Y, khY).real
+        return 4.0 * (q - target) * khY
 
     res = minimize_on_sphere(value, k, cfg if cfg is not None else SphereOptConfig(), gradient)
     return phase_normalize(V @ res.argmin)
@@ -145,7 +150,8 @@ def is_real_orthogonal(T, A, tol: float = 1e-6) -> OrthogonalityVerdict:
         raise ZeroOperator("orthogonality undefined for the zero operator")
     if na == 0.0:
         raise ZeroRelativeOperator("relative operator A is zero")
-    iv = attaining_interval(T, A)
+    V, K = _pairing_matrix(T, A)
+    iv = _interval_of(V, K)
     tau_pairing = tol * nt * na
     via_w0 = iv.lo <= tau_pairing and iv.hi >= -tau_pairing
     rc = real_center_of_mass(T, A)
@@ -159,7 +165,6 @@ def is_real_orthogonal(T, A, tol: float = 1e-6) -> OrthogonalityVerdict:
         )
     witness = None
     if via_w0:
-        V, K = _pairing_matrix(T, A)
         y, _ = _real_form_witness(K)
         witness = phase_normalize(V @ y)
     return OrthogonalityVerdict(

@@ -22,6 +22,7 @@ import numpy as np
 from .center_of_mass import real_center_of_mass, total_center_of_mass
 from .errors import NotAccretive, RouteDisagreement, SingularOperator, ZeroImage
 from .linalg import (
+    _col_vdot,
     as_operator,
     as_vector,
     hermitian_min_eig,
@@ -88,24 +89,30 @@ def _total_cos_ratio(T: np.ndarray, x: np.ndarray) -> float:
     return float(abs(np.vdot(x, Tx)) / np.linalg.norm(Tx))
 
 
+def _guarded_ratio(num: np.ndarray, den: np.ndarray, guard: float) -> np.ndarray:
+    """num / den per column, +inf (the rejection sentinel) where den, a power
+    of ||Tx||, lies below its guard; 1 - ratio is then the -inf rejection of
+    a maximized objective."""
+    return np.divide(num, den, out=np.full_like(den, np.inf), where=den >= guard)
+
+
 def cos_t(T, cfg: SphereOptConfig | None = None) -> tuple[float, np.ndarray]:
     """First antieigenvalue: min of Re <Tx, x> / ||Tx|| over unit x."""
     T = as_operator(T)
     _accretive_or_raise(T)
     TH = T.conj().T
 
-    def value(x: np.ndarray) -> float:
-        Tx = T @ x
-        w = float(np.linalg.norm(Tx))
-        if w < _IMAGE_GUARD:
-            return np.inf
-        return float(np.real(np.vdot(x, Tx))) / w
+    def value(X: np.ndarray) -> np.ndarray:
+        TX = T @ X
+        w = np.linalg.norm(TX, axis=0)
+        u = _col_vdot(X, TX).real
+        return _guarded_ratio(u, w, _IMAGE_GUARD)
 
-    def gradient(x: np.ndarray) -> np.ndarray:
-        Tx = T @ x
-        w = float(np.linalg.norm(Tx))
-        u = float(np.real(np.vdot(x, Tx)))
-        return (Tx + TH @ x) / w - (u / w**3) * (TH @ Tx)
+    def gradient(X: np.ndarray) -> np.ndarray:
+        TX = T @ X
+        w = np.linalg.norm(TX, axis=0)
+        u = _col_vdot(X, TX).real
+        return (TX + TH @ X) / w - (u / w**3) * (TH @ TX)
 
     res = minimize_on_sphere(value, T.shape[0], cfg, gradient)
     return res.value, phase_normalize(res.argmin)
@@ -129,21 +136,24 @@ def total_cos_t(
         _invertible_or_raise(T)
     TH = T.conj().T
 
-    def value(x: np.ndarray) -> float:
-        Tx = T @ x
-        w = float(np.linalg.norm(Tx))
-        if w < guard:
-            return np.inf
-        return float(abs(np.vdot(x, Tx))) / w
+    def value(X: np.ndarray) -> np.ndarray:
+        TX = T @ X
+        w = np.linalg.norm(TX, axis=0)
+        ac = np.abs(_col_vdot(X, TX))
+        return _guarded_ratio(ac, w, guard)
 
-    def gradient(x: np.ndarray) -> np.ndarray:
-        Tx = T @ x
-        w = float(np.linalg.norm(Tx))
-        c = complex(np.vdot(x, Tx))
-        ac = abs(c)
-        if ac < 1e-300:
-            return np.zeros_like(x)
-        return (np.conj(c) * Tx + c * (TH @ x)) / (ac * w) - (ac / w**3) * (TH @ Tx)
+    def gradient(X: np.ndarray) -> np.ndarray:
+        TX = T @ X
+        w = np.linalg.norm(TX, axis=0)
+        c = _col_vdot(X, TX)
+        ac = np.abs(c)
+        # |<Tx, x>| has no gradient where it vanishes; those columns get zero
+        kink = ac < 1e-300
+        g = (np.conj(c) * TX + c * (TH @ X)) / (np.where(kink, 1.0, ac) * w) - (
+            ac / w**3
+        ) * (TH @ TX)
+        g[:, kink] = 0.0
+        return g
 
     res = minimize_on_sphere(value, T.shape[0], cfg, gradient)
     return res.value, phase_normalize(res.argmin)
@@ -194,19 +204,17 @@ def _sup_inner_min_real(T: np.ndarray, cfg: SphereOptConfig | None) -> SphereOpt
     """Max over unit x of 1 - Re<Tx,x>^2 / ||Tx||^2 (closed-form inner min)."""
     TH = T.conj().T
 
-    def value(x: np.ndarray) -> float:
-        Tx = T @ x
-        w2 = float(np.real(np.vdot(Tx, Tx)))
-        if w2 < _IMAGE_GUARD**2:
-            return -np.inf
-        u = float(np.real(np.vdot(x, Tx)))
-        return 1.0 - u * u / w2
+    def value(X: np.ndarray) -> np.ndarray:
+        TX = T @ X
+        w2 = _col_vdot(TX, TX).real
+        u = _col_vdot(X, TX).real
+        return 1.0 - _guarded_ratio(u * u, w2, _IMAGE_GUARD**2)
 
-    def gradient(x: np.ndarray) -> np.ndarray:
-        Tx = T @ x
-        w2 = float(np.real(np.vdot(Tx, Tx)))
-        u = float(np.real(np.vdot(x, Tx)))
-        return (-2.0 * u / w2) * (Tx + TH @ x) + (2.0 * u * u / w2**2) * (TH @ Tx)
+    def gradient(X: np.ndarray) -> np.ndarray:
+        TX = T @ X
+        w2 = _col_vdot(TX, TX).real
+        u = _col_vdot(X, TX).real
+        return (-2.0 * u / w2) * (TX + TH @ X) + (2.0 * u * u / w2**2) * (TH @ TX)
 
     return maximize_on_sphere(value, T.shape[0], cfg, gradient)
 
@@ -215,22 +223,20 @@ def _sup_inner_min_total(T: np.ndarray, cfg: SphereOptConfig | None) -> SphereOp
     """Max over unit x of 1 - |<Tx,x>|^2 / ||Tx||^2 (closed-form inner min)."""
     TH = T.conj().T
 
-    def value(x: np.ndarray) -> float:
-        Tx = T @ x
-        w2 = float(np.real(np.vdot(Tx, Tx)))
-        if w2 < _IMAGE_GUARD**2:
-            return -np.inf
-        c = complex(np.vdot(x, Tx))
-        return 1.0 - (c.real * c.real + c.imag * c.imag) / w2
+    def value(X: np.ndarray) -> np.ndarray:
+        TX = T @ X
+        w2 = _col_vdot(TX, TX).real
+        c = _col_vdot(X, TX)
+        return 1.0 - _guarded_ratio(c.real * c.real + c.imag * c.imag, w2, _IMAGE_GUARD**2)
 
-    def gradient(x: np.ndarray) -> np.ndarray:
-        Tx = T @ x
-        w2 = float(np.real(np.vdot(Tx, Tx)))
-        c = complex(np.vdot(x, Tx))
+    def gradient(X: np.ndarray) -> np.ndarray:
+        TX = T @ X
+        w2 = _col_vdot(TX, TX).real
+        c = _col_vdot(X, TX)
         ac2 = c.real * c.real + c.imag * c.imag
-        return (-2.0 / w2) * (np.conj(c) * Tx + c * (TH @ x)) + (
+        return (-2.0 / w2) * (np.conj(c) * TX + c * (TH @ X)) + (
             2.0 * ac2 / w2**2
-        ) * (TH @ Tx)
+        ) * (TH @ TX)
 
     return maximize_on_sphere(value, T.shape[0], cfg, gradient)
 

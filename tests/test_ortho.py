@@ -171,3 +171,20 @@ def test_unitary_relative_operator_keeps_routes_consistent(seed):
     assert v.route_w0 == v.route_norm
     w = is_total_orthogonal(T, A)
     assert w.route_w0 == w.route_norm
+
+
+def test_real_verdict_builds_the_pairing_form_once(monkeypatch):
+    import optrig.ortho as ortho
+
+    calls = []
+    original = ortho.maximizing_subspace
+
+    def counting(T, *args, **kwargs):
+        calls.append(T)
+        return original(T, *args, **kwargs)
+
+    monkeypatch.setattr(ortho, "maximizing_subspace", counting)
+    verdict = is_real_orthogonal(np.diag([2.0, 1.0]), np.array([[0.0, 1.0], [1.0, 0.0]]))
+    assert verdict.orthogonal
+    assert verdict.witness is not None
+    assert len(calls) == 1

@@ -1,4 +1,8 @@
-"""Tests for the multi-restart projected gradient search on the unit sphere."""
+"""Tests for the multi-restart projected gradient search on the unit sphere.
+
+Objectives and gradients are column-wise: they take an (n, m) block of unit
+columns and return m values, or the (n, m) block of gradients.
+"""
 
 import numpy as np
 import pytest
@@ -18,11 +22,11 @@ dims = st.integers(min_value=1, max_value=5)
 
 
 def rayleigh(H):
-    def value(x):
-        return float(np.real(np.vdot(x, H @ x)))
+    def value(X):
+        return np.real((X.conj() * (H @ X)).sum(axis=0))
 
-    def gradient(x):
-        return 2.0 * (H @ x)
+    def gradient(X):
+        return 2.0 * (H @ X)
 
     return value, gradient
 
@@ -80,8 +84,8 @@ def test_descends_objective_with_zero_floor():
     # along |x1| = |x2|; the search must not stall partway down the valley.
     K = np.diag([-0.5j, 0.5j])
 
-    def value(x):
-        q = complex(np.vdot(x, K @ x))
+    def value(X):
+        q = (X.conj() * (K @ X)).sum(axis=0)
         return q.real * q.real + q.imag * q.imag
 
     res = minimize_on_sphere(value, 2, SphereOptConfig(restarts=8))
@@ -89,26 +93,25 @@ def test_descends_objective_with_zero_floor():
 
 
 def test_rejection_sentinel_skips_infeasible_starts():
-    def value(x):
-        if abs(x[0]) < 0.2:
-            return np.inf
-        return float(abs(x[0]))
+    def value(X):
+        a = np.abs(X[0])
+        return np.where(a < 0.2, np.inf, a)
 
     res = minimize_on_sphere(value, 2, SphereOptConfig(restarts=8))
     assert 0.2 <= res.value <= 0.2 + 1e-2
 
 
 def test_nan_objective_raises():
-    def value(x):
-        return float("nan")
+    def value(X):
+        return np.full(X.shape[1], np.nan)
 
     with pytest.raises(NonFiniteObjective):
         minimize_on_sphere(value, 2, SphereOptConfig(restarts=2))
 
 
 def test_everywhere_infeasible_raises():
-    def value(x):
-        return np.inf
+    def value(X):
+        return np.full(X.shape[1], np.inf)
 
     with pytest.raises(NonFiniteObjective):
         minimize_on_sphere(value, 2, SphereOptConfig(restarts=2))
@@ -124,7 +127,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SphereOptConfig(value_tol=-1.0)
     with pytest.raises(ValueError):
-        minimize_on_sphere(lambda x: 0.0, 0)
+        minimize_on_sphere(lambda X: np.zeros(X.shape[1]), 0)
 
 
 @given(seeds)
@@ -135,4 +138,156 @@ def test_result_beats_random_probes(seed):
     value, gradient = rayleigh(H)
     res = minimize_on_sphere(value, 3, SphereOptConfig(restarts=4), gradient)
     for _ in range(50):
-        assert res.value <= value(haar_unit_vector(rng, 3)) + 1e-9
+        assert res.value <= value(haar_unit_vector(rng, 3)[:, None])[0] + 1e-9
+
+
+def sequential_reference(objective, n, cfg, gradient=None):
+    """The search as a loop over restarts, each on one vector at a time.
+
+    Runs the same rules as the lockstep block for a single column, with the
+    block's arithmetic applied to one column (dot and unit below), so the
+    two differ only where the objective's own kernels round a block and a
+    single column differently. Returns the winning value, restarts_agreeing, the
+    winner's converged flag and the number of iterations each restart ran.
+    """
+
+    def dot(u, v):
+        return (u.conj() * v).sum()
+
+    def unit(v):
+        return v / np.sqrt(dot(v, v).real)
+
+    def f(x):
+        v = float(objective(x[:, None])[0])
+        if np.isnan(v) or v == -np.inf:
+            raise NonFiniteObjective("objective returned NaN or -inf")
+        return v
+
+    def fd_gradient(x, fx):
+        h, parts = 1e-6, []
+        for direction in (1.0, 1.0j):
+            for j in range(n):
+                e = np.zeros(n, dtype=np.complex128)
+                e[j] = h * direction
+                fu = f(unit(x + e))
+                fd = f(unit(x - e))
+                if np.isfinite(fu) and np.isfinite(fd):
+                    parts.append((fu - fd) / (2.0 * h))
+                elif np.isfinite(fu):
+                    parts.append((fu - fx) / h)
+                elif np.isfinite(fd):
+                    parts.append((fx - fd) / h)
+                else:
+                    parts.append(0.0)
+        return np.array(parts[:n]) + 1.0j * np.array(parts[n:])
+
+    finals, iters, best = [], [], None
+    for k in range(cfg.restarts):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(k,)))
+        for _ in range(100):
+            x = haar_unit_vector(rng, n)
+            fx = f(x)
+            if fx != np.inf:
+                break
+        converged, t, flat = False, 1.0, 0
+        for it in range(1, cfg.max_iters + 1):
+            g = gradient(x[:, None])[:, 0] if gradient is not None else fd_gradient(x, fx)
+            gt = g - dot(x, g).real * x
+            gn2 = dot(gt, gt).real
+            if gn2 <= 1e-30:
+                converged = True
+                break
+            t = min(2.0 * t, 1e6)
+            accepted = None
+            while t >= cfg.step_tol:
+                cand = unit(x - t * gt)
+                fc = f(cand)
+                if fc <= fx - 1e-4 * t * gn2:
+                    while t >= 2.0 * cfg.step_tol:
+                        half = unit(x - 0.5 * t * gt)
+                        fh = f(half)
+                        if fh >= fc:
+                            break
+                        t *= 0.5
+                        cand, fc = half, fh
+                    accepted = (cand, fc)
+                    break
+                t *= 0.5
+            if accepted is None:
+                converged = True
+                break
+            drop = fx - accepted[1]
+            x, fx = accepted
+            flat = flat + 1 if drop <= cfg.value_tol * (abs(fx) + cfg.value_tol) else 0
+            if flat >= 3:
+                converged = True
+                break
+        finals.append(fx)
+        iters.append(it)
+        if best is None or fx < best[0]:
+            best = (fx, converged)
+    agreeing = sum(1 for v in finals if v <= best[0] + cfg.value_tol)
+    return best[0], agreeing, best[1], iters
+
+
+def rejecting_abs(X):
+    a = np.abs(X[0])
+    return np.where(a < 0.2, np.inf, a)
+
+
+def capped_rayleigh(H, cap):
+    """min(<Hx, x>, cap): columns starting on the cap have zero gradient."""
+
+    def value(X):
+        return np.minimum(np.real((X.conj() * (H @ X)).sum(axis=0)), cap)
+
+    def gradient(X):
+        r = np.real((X.conj() * (H @ X)).sum(axis=0))
+        return np.where(r < cap, 2.0, 0.0) * (H @ X)
+
+    return value, gradient
+
+
+def assert_matches_reference(value, n, cfg, gradient=None):
+    """Same winner, agreement and convergence as the sequential loop, and the
+    same number of evaluated points: every restart retraces its own path."""
+    columns = []
+
+    def tallied(X):
+        columns.append(X.shape[1])
+        return value(X)
+
+    ref_value, ref_agreeing, ref_converged, iters = sequential_reference(
+        tallied, n, cfg, gradient
+    )
+    ref_columns = sum(columns)
+    columns.clear()
+    res = minimize_on_sphere(tallied, n, cfg, gradient)
+    assert abs(res.value - ref_value) <= 1e-12
+    assert res.restarts_agreeing == ref_agreeing
+    assert res.converged == ref_converged
+    assert sum(columns) == ref_columns
+    return iters
+
+
+def test_lockstep_matches_sequential_on_rayleigh_quotient():
+    rng = np.random.default_rng(7)
+    m = gauss_matrix(rng, 4)
+    value, gradient = rayleigh((m + m.conj().T) / 2.0)
+    assert_matches_reference(value, 4, SphereOptConfig(restarts=8, seed=5), gradient)
+
+
+def test_lockstep_matches_sequential_with_rejected_points():
+    assert_matches_reference(rejecting_abs, 2, SphereOptConfig(restarts=8))
+
+
+def test_lockstep_matches_sequential_when_restarts_stop_at_different_times():
+    value, gradient = capped_rayleigh(np.diag([0.0, 3e-3, 1.0]), 0.5)
+    iters = assert_matches_reference(value, 3, SphereOptConfig(restarts=16), gradient)
+    assert min(iters) == 1 and max(iters) >= 300
+
+
+def test_starved_search_reports_not_converged():
+    value, gradient = rayleigh(np.diag([0.0, 1.0, 2.0]))
+    res = minimize_on_sphere(value, 3, SphereOptConfig(restarts=4, max_iters=1), gradient)
+    assert not res.converged
