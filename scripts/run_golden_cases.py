@@ -59,7 +59,7 @@ def main() -> int:
     row("residual", rc.residual, 1.0)
     lo, hi = rc.flat_interval
     print(f"  flat interval               [{lo:+.6f}, {hi:+.6f}]   expected to cover [-0.99, 0.99]")
-    print(f"  unique flag                 {rc.unique}   certified: {center_uniqueness(Ad, rc)}")
+    print(f"  unique flag                 {rc.unique}   certified: {center_uniqueness(Ad)}")
     return 0
 
 

@@ -253,15 +253,14 @@ def total_center_of_mass(T, A, tol: float = 1e-9) -> TotalCenterResult:
     return TotalCenterResult(lambda0=lambda0, residual=residual, unique=unique, witness=witness)
 
 
-def center_uniqueness(A, result, tol: float = 1e-9) -> bool:
+def center_uniqueness(A, tol: float = 1e-9) -> bool:
     """Whether the center of mass relative to A is certified unique.
 
     In finite dimension the certificate is sigma_min(A) > tol: then no
     unit sequence can annihilate A and the minimizer of ||T - eps*A|| is
     a single point. A false return means no certificate, not a proof of
-    non-uniqueness (result carries the observed flat interval).
+    non-uniqueness (a center result carries the observed flat interval).
     """
-    del result
     A = as_operator(A)
     return bool(sigma_min(A) > tol)
 

@@ -6,6 +6,10 @@ modules, and prints a report as canonical JSON or flattened text. With
 --verify, each result is re-checked against a brute-force oracle that
 shares no machinery with the main solver.
 
+Each subcommand is one entry of `_COMMANDS`: its help, whether it takes
+--relative-to and --complex, its --tol default and its handler. The
+parser and the dispatch are both built from that table.
+
 Exit codes: 0 success; 1 I/O or malformed input (one-line cause on
 stderr); 2 domain refusal (operator fails a precondition; machine-
 readable error on stdout); 3 internal cross-check failure (routes or
@@ -20,6 +24,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import dataclass
 from typing import Any, Callable
 
 import numpy as np
@@ -178,30 +183,27 @@ def _resolve_seed(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cos_objective(T: np.ndarray) -> Callable[[np.ndarray], float]:
+def _sampling_objective(
+    T: np.ndarray, part: Callable[[complex], float]
+) -> Callable[[np.ndarray], float]:
+    """part(<Tx, x>) / ||Tx||: np.real gives the cosine, abs the total cosine."""
+
     def value(x: np.ndarray) -> float:
         Tx = T @ x
         w = float(np.linalg.norm(Tx))
         if w < 1e-12:
             return math.inf
-        return float(np.real(np.vdot(x, Tx))) / w
+        return float(part(np.vdot(x, Tx))) / w
 
     return value
 
 
-def _total_cos_objective(T: np.ndarray) -> Callable[[np.ndarray], float]:
-    def value(x: np.ndarray) -> float:
-        Tx = T @ x
-        w = float(np.linalg.norm(Tx))
-        if w < 1e-12:
-            return math.inf
-        return float(abs(np.vdot(x, Tx))) / w
-
-    return value
-
-
-def _check_sampling_oracle(label: str, main: float, oracle: float, n: int) -> float:
+def _sampling_oracle(
+    label: str, T: np.ndarray, part: Callable[[complex], float], main: float, seed: int
+) -> dict[str, float]:
     """Feasible-side check: the optimizer must match or beat the sampler."""
+    n = T.shape[0]
+    oracle, _ = sphere_refine_min(_sampling_objective(T, part), n, seed=seed)
     delta = oracle - main
     if main > oracle + _ORACLE_FEASIBLE:
         raise OracleMismatch(
@@ -212,7 +214,7 @@ def _check_sampling_oracle(label: str, main: float, oracle: float, n: int) -> fl
             f"{label}: sampling oracle {oracle:.9e} is {delta:.3e} above "
             f"main result {main:.9e} (tolerance {_ORACLE_CLOSE:g})"
         )
-    return delta
+    return {"sphere_refine_min": oracle, "delta": delta}
 
 
 def _check_grid_oracle(label: str, main: float, oracle: float, scale: float) -> float:
@@ -225,33 +227,54 @@ def _check_grid_oracle(label: str, main: float, oracle: float, scale: float) -> 
     return delta
 
 
-def _scalar_range(T: np.ndarray, A: np.ndarray) -> float:
+def _grid_min(
+    norm_at: Callable[[Any], float], radius: float, use_complex: bool
+) -> float:
+    """Grid minimum of a norm over real s in [-radius, radius] or complex s in the square."""
+    if use_complex:
+        _, value = grid_min_complex(norm_at, radius, GridSpec(-radius, radius, 81, 4))
+    else:
+        _, value = grid_min_real(norm_at, GridSpec(-radius, radius))
+    return value
+
+
+def _pair_range(T: np.ndarray, A: np.ndarray) -> float:
     return max(2.0 * operator_norm(T) / operator_norm(A), 1e-6)
 
 
-def _cmd_cos(T: np.ndarray, args: argparse.Namespace, cfg: SphereOptConfig) -> dict:
-    cross_tol = args.tol if args.tol is not None else 1e-5
-    rep = trig_report(T, cfg, cross_tol=cross_tol)
+def _scaled_identity_min(T: np.ndarray, use_complex: bool) -> float:
+    """Grid minimum of ||s*T - I||, the oracle for sin and the min-max sides."""
+    eye = np.eye(T.shape[0])
+    radius = max(2.0 / operator_norm(T), 1e-6)
+    return _grid_min(lambda s: operator_norm(s * T - eye), radius, use_complex)
+
+
+# A command handler: (T, A, tol, args, cfg) -> (results, witnesses, diagnostics).
+# A is None for single-matrix commands and tol is None for w0. Handlers call
+# the library through this module's globals, which the per-layer tracer of
+# perfbench patches, so the command table holds handlers, not library functions.
+_Handler = Callable[
+    [np.ndarray, np.ndarray | None, float | None, argparse.Namespace, SphereOptConfig],
+    tuple[dict[str, Any], dict[str, Any], dict[str, Any]],
+]
+
+
+def _cmd_cos(T, A, tol, args, cfg):
+    rep = trig_report(T, cfg, cross_tol=tol)
     results = {
         "cos": rep.cos_direct,
         "cos_via_center": rep.cos_via_center,
         "epsilon0": rep.epsilon0,
     }
     witnesses = {"antieigenvector": _vector_json(rep.antieigenvector)}
-    diagnostics: dict[str, Any] = {
-        "route_delta": abs(rep.cos_direct - rep.cos_via_center),
-        "tolerances": {"cross": cross_tol},
-    }
+    diagnostics: dict[str, Any] = {"route_delta": abs(rep.cos_direct - rep.cos_via_center)}
     if args.verify:
-        oracle, _ = sphere_refine_min(_cos_objective(T), T.shape[0], seed=cfg.seed)
-        delta = _check_sampling_oracle("cos", rep.cos_direct, oracle, T.shape[0])
-        diagnostics["oracle"] = {"sphere_refine_min": oracle, "delta": delta}
-    return {"results": results, "witnesses": witnesses, "diagnostics": diagnostics}
+        diagnostics["oracle"] = _sampling_oracle("cos", T, np.real, rep.cos_direct, cfg.seed)
+    return results, witnesses, diagnostics
 
 
-def _cmd_total_cos(T: np.ndarray, args: argparse.Namespace, cfg: SphereOptConfig) -> dict:
-    cross_tol = args.tol if args.tol is not None else 1e-5
-    rep = total_trig_report(T, cfg, cross_tol=cross_tol)
+def _cmd_total_cos(T, A, tol, args, cfg):
+    rep = total_trig_report(T, cfg, cross_tol=tol)
     results = {
         "total_cos": rep.total_cos_direct,
         "total_cos_via_center": rep.total_cos_via_center,
@@ -259,146 +282,86 @@ def _cmd_total_cos(T: np.ndarray, args: argparse.Namespace, cfg: SphereOptConfig
     }
     witnesses = {"antieigenvector": _vector_json(rep.antieigenvector)}
     diagnostics: dict[str, Any] = {
-        "route_delta": abs(rep.total_cos_direct - rep.total_cos_via_center),
-        "tolerances": {"cross": cross_tol},
+        "route_delta": abs(rep.total_cos_direct - rep.total_cos_via_center)
     }
     if args.verify:
-        oracle, _ = sphere_refine_min(
-            _total_cos_objective(T), T.shape[0], seed=cfg.seed
+        diagnostics["oracle"] = _sampling_oracle(
+            "total-cos", T, abs, rep.total_cos_direct, cfg.seed
         )
-        delta = _check_sampling_oracle(
-            "total-cos", rep.total_cos_direct, oracle, T.shape[0]
-        )
-        diagnostics["oracle"] = {"sphere_refine_min": oracle, "delta": delta}
-    return {"results": results, "witnesses": witnesses, "diagnostics": diagnostics}
+    return results, witnesses, diagnostics
 
 
-def _cmd_sin(T: np.ndarray, args: argparse.Namespace, cfg: SphereOptConfig) -> dict:
-    cross_tol = args.tol if args.tol is not None else 1e-5
-    rep = trig_report(T, cfg, cross_tol=cross_tol)
+def _cmd_sin(T, A, tol, args, cfg):
+    rep = trig_report(T, cfg, cross_tol=tol)
     results = {"sin": rep.sin_value, "epsilon0": rep.epsilon0}
     diagnostics: dict[str, Any] = {
-        "identity_gap": abs(rep.sin_value**2 + rep.cos_direct**2 - 1.0),
-        "tolerances": {"cross": cross_tol},
+        "identity_gap": abs(rep.sin_value**2 + rep.cos_direct**2 - 1.0)
     }
     if args.verify:
-        radius = max(2.0 / operator_norm(T), 1e-6)
-        eye = np.eye(T.shape[0])
-
-        def f(eps: float) -> float:
-            return operator_norm(eps * T - eye)
-
-        _, oracle = grid_min_real(f, GridSpec(-radius, radius))
+        oracle = _scaled_identity_min(T, use_complex=False)
         delta = _check_grid_oracle("sin", rep.sin_value, oracle, 1.0)
         diagnostics["oracle"] = {"grid_min": oracle, "delta": delta}
-    return {"results": results, "witnesses": {}, "diagnostics": diagnostics}
+    return results, {}, diagnostics
 
 
-def _cmd_center(
-    T: np.ndarray, A: np.ndarray, args: argparse.Namespace, cfg: SphereOptConfig
-) -> dict:
-    del cfg
-    tol = args.tol if args.tol is not None else 1e-9
-    scale = max(1.0, operator_norm(T))
-    diagnostics: dict[str, Any] = {"tolerances": {"center": tol}}
+def _cmd_center(T, A, tol, args, cfg):
     if args.use_complex:
-        tc = total_center_of_mass(T, A, tol=tol)
-        results: dict[str, Any] = {
-            "lambda0": _pair_json(tc.lambda0),
-            "residual": tc.residual,
-            "unique": tc.unique,
-            "relative_nonsingular": center_uniqueness(A, tc),
-        }
-        witnesses = {"witness": _vector_json(tc.witness)}
-        if args.verify:
-            radius = _scalar_range(T, A)
-
-            def g(z: complex) -> float:
-                return operator_norm(T - z * A)
-
-            _, oracle = grid_min_complex(g, radius, GridSpec(-radius, radius, 81, 4))
-            delta = _check_grid_oracle("center-of-mass", tc.residual, oracle, scale)
-            diagnostics["oracle"] = {"grid_min": oracle, "delta": delta}
+        center = total_center_of_mass(T, A, tol=tol)
+        results: dict[str, Any] = {"lambda0": _pair_json(center.lambda0)}
     else:
-        rc = real_center_of_mass(T, A, tol=tol)
-        results = {
-            "epsilon0": rc.epsilon0,
-            "residual": rc.residual,
-            "flat_interval": [rc.flat_interval[0], rc.flat_interval[1]],
-            "unique": rc.unique,
-            "relative_nonsingular": center_uniqueness(A, rc),
-        }
-        witnesses = {"witness": _vector_json(rc.witness)}
-        if args.verify:
-            radius = _scalar_range(T, A)
-
-            def f(eps: float) -> float:
-                return operator_norm(T - eps * A)
-
-            _, oracle = grid_min_real(f, GridSpec(-radius, radius))
-            delta = _check_grid_oracle("center-of-mass", rc.residual, oracle, scale)
-            diagnostics["oracle"] = {"grid_min": oracle, "delta": delta}
-    return {"results": results, "witnesses": witnesses, "diagnostics": diagnostics}
+        center = real_center_of_mass(T, A, tol=tol)
+        results = {"epsilon0": center.epsilon0, "flat_interval": list(center.flat_interval)}
+    results["residual"] = center.residual
+    results["unique"] = center.unique
+    results["relative_nonsingular"] = center_uniqueness(A)
+    witnesses = {"witness": _vector_json(center.witness)}
+    diagnostics: dict[str, Any] = {}
+    if args.verify:
+        oracle = _grid_min(
+            lambda s: operator_norm(T - s * A), _pair_range(T, A), args.use_complex
+        )
+        scale = max(1.0, operator_norm(T))
+        delta = _check_grid_oracle("center-of-mass", center.residual, oracle, scale)
+        diagnostics["oracle"] = {"grid_min": oracle, "delta": delta}
+    return results, witnesses, diagnostics
 
 
-def _cmd_orthogonal(
-    T: np.ndarray, A: np.ndarray, args: argparse.Namespace, cfg: SphereOptConfig
-) -> dict:
-    tol = args.tol if args.tol is not None else 1e-6
-    nt = operator_norm(T)
-    diagnostics: dict[str, Any] = {"tolerances": {"verdict": tol}}
+def _cmd_orthogonal(T, A, tol, args, cfg):
     if args.use_complex:
         verdict = is_total_orthogonal(T, A, tol=tol, cfg=cfg)
-        results: dict[str, Any] = {
-            "orthogonal": verdict.orthogonal,
-            "route_w0": verdict.route_w0,
-            "route_norm": verdict.route_norm,
-            "total_pairing_min": verdict.pairing_min,
-        }
+        results: dict[str, Any] = {"total_pairing_min": verdict.pairing_min}
     else:
         verdict = is_real_orthogonal(T, A, tol=tol)
-        results = {
-            "orthogonal": verdict.orthogonal,
-            "route_w0": verdict.route_w0,
-            "route_norm": verdict.route_norm,
-            "w0": [verdict.interval.lo, verdict.interval.hi],
-        }
+        results = {"w0": [verdict.interval.lo, verdict.interval.hi]}
+    results["orthogonal"] = verdict.orthogonal
+    results["route_w0"] = verdict.route_w0
+    results["route_norm"] = verdict.route_norm
     witnesses = (
         {"witness": _vector_json(verdict.witness)} if verdict.witness is not None else {}
     )
+    diagnostics: dict[str, Any] = {}
     if args.verify:
-        radius = _scalar_range(T, A)
-        scale = max(1.0, nt)
-        if args.use_complex:
-
-            def g(z: complex) -> float:
-                return operator_norm(T + z * A)
-
-            _, oracle = grid_min_complex(g, radius, GridSpec(-radius, radius, 81, 4))
-        else:
-
-            def f(eps: float) -> float:
-                return operator_norm(T + eps * A)
-
-            _, oracle = grid_min_real(f, GridSpec(-radius, radius))
+        oracle = _grid_min(
+            lambda s: operator_norm(T + s * A), _pair_range(T, A), args.use_complex
+        )
+        nt = operator_norm(T)
         delta = oracle - nt
-        if verdict.orthogonal and delta < -_ORACLE_CLOSE * scale:
+        slack = _ORACLE_CLOSE * max(1.0, nt)
+        if verdict.orthogonal and delta < -slack:
             raise OracleMismatch(
                 f"orthogonal: verdict true but grid found ||T + s*A|| = "
                 f"{oracle:.9e} below ||T|| = {nt:.9e}"
             )
-        if not verdict.orthogonal and delta > _ORACLE_CLOSE * scale:
+        if not verdict.orthogonal and delta > slack:
             raise OracleMismatch(
                 f"orthogonal: verdict false but grid minimum {oracle:.9e} "
                 f"stays above ||T|| = {nt:.9e}"
             )
         diagnostics["oracle"] = {"grid_min": oracle, "delta": delta}
-    return {"results": results, "witnesses": witnesses, "diagnostics": diagnostics}
+    return results, witnesses, diagnostics
 
 
-def _cmd_w0(
-    T: np.ndarray, A: np.ndarray, args: argparse.Namespace, cfg: SphereOptConfig
-) -> dict:
+def _cmd_w0(T, A, tol, args, cfg):
     iv = attaining_interval(T, A)
     results = {"lo": iv.lo, "hi": iv.hi}
     witnesses = {
@@ -424,11 +387,10 @@ def _cmd_w0(
                     f"[{iv.lo:.9e}, {iv.hi:.9e}]"
                 )
         diagnostics["oracle"] = {"samples": _W0_SAMPLES, "max_violation": worst}
-    return {"results": results, "witnesses": witnesses, "diagnostics": diagnostics}
+    return results, witnesses, diagnostics
 
 
-def _cmd_minmax(T: np.ndarray, args: argparse.Namespace, cfg: SphereOptConfig) -> dict:
-    tol = args.tol if args.tol is not None else 1e-5
+def _cmd_minmax(T, A, tol, args, cfg):
     if args.use_complex:
         lhs, rhs = minmax_check_complex(T, cfg)
     else:
@@ -437,25 +399,61 @@ def _cmd_minmax(T: np.ndarray, args: argparse.Namespace, cfg: SphereOptConfig) -
     if gap > tol:
         raise RouteDisagreement(f"min-max gap {gap:.3e} exceeds {tol:g}")
     results = {"lhs": lhs, "rhs": rhs, "gap": gap}
-    diagnostics: dict[str, Any] = {"tolerances": {"gap": tol}}
+    diagnostics: dict[str, Any] = {}
     if args.verify:
-        radius = max(2.0 / operator_norm(T), 1e-6)
-        eye = np.eye(T.shape[0])
-        if args.use_complex:
+        squared = _scaled_identity_min(T, args.use_complex) ** 2
+        delta = _check_grid_oracle("minmax", rhs, squared, 1.0)
+        diagnostics["oracle"] = {"grid_min_squared": squared, "delta": delta}
+    return results, {}, diagnostics
 
-            def g(z: complex) -> float:
-                return operator_norm(z * T - eye)
 
-            _, oracle = grid_min_complex(g, radius, GridSpec(-radius, radius, 81, 4))
-        else:
+@dataclass(frozen=True)
+class _Command:
+    """One subcommand: its help, its flags, its --tol default and its handler."""
 
-            def f(eps: float) -> float:
-                return operator_norm(eps * T - eye)
+    help: str
+    handler: _Handler
+    pair: bool = False  # takes --relative-to
+    allow_complex: bool = False  # takes --complex
+    tol_key: str | None = None  # name of --tol under diagnostics.tolerances
+    tol_default: float | None = None
 
-            _, oracle = grid_min_real(f, GridSpec(-radius, radius))
-        delta = _check_grid_oracle("minmax", rhs, oracle**2, 1.0)
-        diagnostics["oracle"] = {"grid_min_squared": oracle**2, "delta": delta}
-    return {"results": results, "witnesses": {}, "diagnostics": diagnostics}
+
+_COMMANDS: dict[str, _Command] = {
+    "cos": _Command("first antieigenvalue of T", _cmd_cos, tol_key="cross", tol_default=1e-5),
+    "total-cos": _Command(
+        "total antieigenvalue of T", _cmd_total_cos, tol_key="cross", tol_default=1e-5
+    ),
+    "sin": _Command(
+        "minimum of ||eps*T - I|| over eps > 0", _cmd_sin, tol_key="cross", tol_default=1e-5
+    ),
+    "center-of-mass": _Command(
+        "scalar center of T relative to A",
+        _cmd_center,
+        pair=True,
+        allow_complex=True,
+        tol_key="center",
+        tol_default=1e-9,
+    ),
+    "orthogonal": _Command(
+        "Birkhoff-James orthogonality of T to A",
+        _cmd_orthogonal,
+        pair=True,
+        allow_complex=True,
+        tol_key="verdict",
+        tol_default=1e-6,
+    ),
+    "w0": _Command(
+        "attaining interval of Re <Tx, Ax> over norm-attaining x", _cmd_w0, pair=True
+    ),
+    "minmax": _Command(
+        "both sides of the min-max identity for T",
+        _cmd_minmax,
+        allow_complex=True,
+        tol_key="gap",
+        tol_default=1e-5,
+    ),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -465,18 +463,17 @@ def _build_parser() -> argparse.ArgumentParser:
         "and Birkhoff-James orthogonality for complex matrices.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, help_text: str, pair: bool, allow_complex: bool):
-        p = sub.add_parser(name, help=help_text)
+    for name, cmd in _COMMANDS.items():
+        p = sub.add_parser(name, help=cmd.help)
         p.add_argument("--matrix", required=True, metavar="FILE", help="JSON matrix T")
-        if pair:
+        if cmd.pair:
             p.add_argument(
                 "--relative-to",
                 metavar="FILE",
                 default=None,
                 help="JSON matrix A (default: identity)",
             )
-        if allow_complex:
+        if cmd.allow_complex:
             p.add_argument(
                 "--complex",
                 dest="use_complex",
@@ -497,39 +494,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--output", choices=("json", "text"), default="text", help="report format"
         )
-        return p
-
-    add("cos", "first antieigenvalue of T", pair=False, allow_complex=False)
-    add("total-cos", "total antieigenvalue of T", pair=False, allow_complex=False)
-    add("sin", "minimum of ||eps*T - I|| over eps > 0", pair=False, allow_complex=False)
-    add(
-        "center-of-mass",
-        "scalar center of T relative to A",
-        pair=True,
-        allow_complex=True,
-    )
-    add(
-        "orthogonal",
-        "Birkhoff-James orthogonality of T to A",
-        pair=True,
-        allow_complex=True,
-    )
-    add(
-        "w0",
-        "attaining interval of Re <Tx, Ax> over norm-attaining x",
-        pair=True,
-        allow_complex=False,
-    )
-    add(
-        "minmax",
-        "both sides of the min-max identity for T",
-        pair=False,
-        allow_complex=True,
-    )
     return parser
-
-
-_PAIR_COMMANDS = {"center-of-mass", "orthogonal", "w0"}
 
 
 def _dispatch(args: argparse.Namespace) -> dict[str, Any]:
@@ -539,9 +504,11 @@ def _dispatch(args: argparse.Namespace) -> dict[str, Any]:
         raise _InputError("--restarts", "must be >= 1")
     seed = _resolve_seed(args)
     cfg = SphereOptConfig(restarts=args.restarts, seed=seed)
+    cmd = _COMMANDS[args.command]
     T, t_info = _read_matrix(args.matrix)
     inputs: dict[str, Any] = {"matrix": t_info}
-    if args.command in _PAIR_COMMANDS:
+    A = None
+    if cmd.pair:
         if args.relative_to is not None:
             A, a_info = _read_matrix(args.relative_to)
             inputs["relative_to"] = a_info
@@ -553,28 +520,19 @@ def _dispatch(args: argparse.Namespace) -> dict[str, Any]:
                 f"matrix is {T.shape[0]}x{T.shape[0]} but relative-to is "
                 f"{A.shape[0]}x{A.shape[0]}"
             )
-    if args.command == "cos":
-        body = _cmd_cos(T, args, cfg)
-    elif args.command == "total-cos":
-        body = _cmd_total_cos(T, args, cfg)
-    elif args.command == "sin":
-        body = _cmd_sin(T, args, cfg)
-    elif args.command == "center-of-mass":
-        body = _cmd_center(T, A, args, cfg)
-    elif args.command == "orthogonal":
-        body = _cmd_orthogonal(T, A, args, cfg)
-    elif args.command == "w0":
-        body = _cmd_w0(T, A, args, cfg)
-    else:
-        body = _cmd_minmax(T, args, cfg)
-    diagnostics = body["diagnostics"]
+    tol = None
+    if cmd.tol_key is not None:
+        tol = cmd.tol_default if args.tol is None else args.tol
+    results, witnesses, diagnostics = cmd.handler(T, A, tol, args, cfg)
+    if tol is not None:
+        diagnostics["tolerances"] = {cmd.tol_key: tol}
     diagnostics["seed"] = seed
     diagnostics["restarts"] = args.restarts
     return {
         "command": args.command,
         "inputs": inputs,
-        "results": body["results"],
-        "witnesses": body["witnesses"],
+        "results": results,
+        "witnesses": witnesses,
         "diagnostics": diagnostics,
     }
 

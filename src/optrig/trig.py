@@ -264,25 +264,21 @@ def minmax_check_complex(T, cfg: SphereOptConfig | None = None) -> tuple[float, 
     return lhs, tc.residual**2
 
 
-def cos_via_center(T, cfg: SphereOptConfig | None = None) -> tuple[float, np.ndarray]:
+def cos_via_center(T) -> tuple[float, np.ndarray]:
     """First antieigenvalue through the center-of-mass witness.
 
     The witness x of the real center of I relative to T (norm-attaining
     for I - eps0*T with Re <(I - eps0*T)x, Tx> ~ 0) attains the cosine:
     the returned value is Re <Tx, x> / ||Tx|| at that witness.
     """
-    del cfg
     T = as_operator(T)
     _accretive_or_raise(T)
     rc = real_center_of_mass(np.eye(T.shape[0]), T)
     return _cos_ratio(T, rc.witness), rc.witness
 
 
-def total_cos_via_center(
-    T, cfg: SphereOptConfig | None = None
-) -> tuple[float, np.ndarray]:
+def total_cos_via_center(T) -> tuple[float, np.ndarray]:
     """Total antieigenvalue through the total-center witness."""
-    del cfg
     T = as_operator(T)
     _invertible_or_raise(T)
     tc = total_center_of_mass(np.eye(T.shape[0]), T)

@@ -112,7 +112,7 @@ def test_criterion_03_non_unique_center():
     lo, hi = res.flat_interval
     assert lo <= -0.99 and hi >= 0.99
     assert res.unique is False
-    assert center_uniqueness(A, res) is False
+    assert center_uniqueness(A) is False
     _passed(3, "degenerate pair keeps a flat interval and drops uniqueness")
 
 

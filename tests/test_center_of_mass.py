@@ -130,7 +130,7 @@ def test_flat_pair_reports_full_interval_and_non_uniqueness():
     assert rc.flat_interval[0] <= -0.99
     assert rc.flat_interval[1] >= 0.99
     assert not rc.unique
-    assert not center_uniqueness(A, rc)
+    assert not center_uniqueness(A)
     tc = total_center_of_mass(T, A)
     assert tc.residual == pytest.approx(1.0)
     assert not tc.unique
@@ -158,7 +158,7 @@ def test_certified_uniqueness_for_invertible_relative(seed, n):
     rng = np.random.default_rng(seed)
     A = invertible_matrix(rng, n)
     rc = real_center_of_mass(gauss_matrix(rng, n), A)
-    assert center_uniqueness(A, rc)
+    assert center_uniqueness(A)
 
 
 @given(seeds, dims)

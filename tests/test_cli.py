@@ -6,7 +6,10 @@ import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+
+from optrig import cli
 
 PKG_ROOT = pathlib.Path(__file__).resolve().parent.parent
 EX35 = str(PKG_ROOT / "data" / "ex35.json")
@@ -220,3 +223,67 @@ def test_forced_cross_check_failure_exits_three():
     proc = run_cli("minmax", "--matrix", EX35, "--tol", "1e-18")
     assert proc.returncode == 3
     assert json.loads(proc.stdout)["error"]["type"] == "RouteDisagreement"
+
+
+def main_json(monkeypatch, capsys, *args):
+    """Run the CLI in this process; return its exit code and parsed stdout."""
+    monkeypatch.delenv("OPTRIG_SEED", raising=False)
+    code = cli.main([*args, "--output", "json"])
+    return code, json.loads(capsys.readouterr().out)
+
+
+def norm_of(path):
+    with open(path) as fh:
+        entries = np.asarray(json.load(fh)["entries"])
+    return np.linalg.norm(entries[:, :, 0] + 1j * entries[:, :, 1], 2)
+
+
+@pytest.mark.parametrize(
+    "args,key",
+    [
+        (("center-of-mass", "--matrix", EX35), "grid_min"),
+        (("orthogonal", "--matrix", T10, "--relative-to", A01), "grid_min"),
+        (("orthogonal", "--matrix", EX35, "--relative-to", T10), "grid_min"),
+        (("orthogonal", "--matrix", T10, "--relative-to", A01, "--complex"), "grid_min"),
+        (("orthogonal", "--matrix", EX35, "--complex"), "grid_min"),
+        (("minmax", "--matrix", EX35, "--complex"), "grid_min_squared"),
+    ],
+)
+def test_grid_oracles_verify_in_process(monkeypatch, capsys, args, key):
+    code, doc = main_json(monkeypatch, capsys, *args, "--verify")
+    assert code == 0
+    oracle = doc["diagnostics"]["oracle"]
+    assert set(oracle) == {key, "delta"}
+    slack = 1e-3 * max(1.0, norm_of(args[2]))
+    if args[0] != "orthogonal" or doc["results"]["orthogonal"]:
+        assert abs(oracle["delta"]) <= slack
+    else:
+        # a false verdict: the grid finds ||T + s*A|| clearly below ||T||
+        assert oracle["delta"] < -slack
+
+
+def shifted(fn, index, shift):
+    def call(*args, **kwargs):
+        out = list(fn(*args, **kwargs))
+        out[index] += shift
+        return tuple(out)
+
+    return call
+
+
+@pytest.mark.parametrize(
+    "args,oracle,index,shift",
+    [
+        (("center-of-mass", "--matrix", EX35), "grid_min_real", 1, 1.0),
+        # verdict true: the oracle drops below ||T||
+        (("orthogonal", "--matrix", T10, "--relative-to", A01), "grid_min_real", 1, -1.0),
+        # verdict false: the oracle stays above ||T||
+        (("orthogonal", "--matrix", EX35), "grid_min_real", 1, 1.0),
+        (("cos", "--matrix", EX35), "sphere_refine_min", 0, 1.0),
+    ],
+)
+def test_oracle_mismatch_exits_three(monkeypatch, capsys, args, oracle, index, shift):
+    monkeypatch.setattr(cli, oracle, shifted(getattr(cli, oracle), index, shift))
+    code, doc = main_json(monkeypatch, capsys, *args, "--verify")
+    assert code == 3
+    assert doc["error"]["type"] == "OracleMismatch"
