@@ -32,6 +32,7 @@ from .linalg import (
     as_operator_pair,
     maximizing_subspace,
     operator_norm,
+    operator_norms,
     phase_normalize,
     sigma_min,
 )
@@ -144,11 +145,6 @@ def _march_edge(f, start: float, bound: float, step: float, level: float) -> flo
             return _sublevel_edge(f, inside, nxt, level)
 
 
-def _batched_norms(T: np.ndarray, A: np.ndarray, scalars: np.ndarray) -> np.ndarray:
-    stack = T[None, :, :] - scalars[:, None, None] * A[None, :, :]
-    return np.linalg.svd(stack, compute_uv=False)[:, 0]
-
-
 def _basis_vector(n: int) -> np.ndarray:
     e = np.zeros(n, dtype=np.complex128)
     e[0] = 1.0
@@ -245,7 +241,7 @@ def total_center_of_mass(T, A, tol: float = 1e-9) -> TotalCenterResult:
     probe_r = _UNIQUE_RADIUS * max(1.0, radius)
     angles = np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False)
     ring = lambda0 + probe_r * np.exp(1j * angles)
-    ring_vals = _batched_norms(T, A, ring)
+    ring_vals = operator_norms(T - ring[:, None, None] * A)
     level = residual + min(tol, _FLAT_SLACK * max(1.0, residual))
     unique = not bool(np.any(ring_vals <= level))
 

@@ -45,7 +45,15 @@ from .errors import (
     ZeroOperator,
     ZeroRelativeOperator,
 )
-from .linalg import maximizing_subspace, operator_norm, phase_normalize
+from .linalg import (
+    block_matvec,
+    block_norms,
+    block_vdot,
+    maximizing_subspace,
+    operator_norm,
+    operator_norms,
+    phase_normalize,
+)
 from .oracles import GridSpec, grid_min_complex, grid_min_real, sphere_refine_min
 from .ortho import attaining_interval, is_real_orthogonal, is_total_orthogonal
 from .sphere_opt import SphereOptConfig
@@ -183,23 +191,29 @@ def _resolve_seed(args: argparse.Namespace) -> int:
     return 0
 
 
-def _sampling_objective(
-    T: np.ndarray, part: Callable[[complex], float]
-) -> Callable[[np.ndarray], float]:
-    """part(<Tx, x>) / ||Tx||: np.real gives the cosine, abs the total cosine."""
+def _modulus(z: np.ndarray) -> np.ndarray:
+    # np.hypot rounds as abs() of one complex does; np.abs of an array does not
+    return np.hypot(z.real, z.imag)
 
-    def value(x: np.ndarray) -> float:
-        Tx = T @ x
-        w = float(np.linalg.norm(Tx))
-        if w < 1e-12:
-            return math.inf
-        return float(part(np.vdot(x, Tx))) / w
+
+def _sampling_objective(
+    T: np.ndarray, part: Callable[[np.ndarray], np.ndarray]
+) -> Callable[[np.ndarray], np.ndarray]:
+    """part(<Tx, x>) / ||Tx|| for each column x: np.real gives the cosine,
+    _modulus the total cosine. Columns with ||Tx|| < 1e-12 get +inf."""
+
+    def value(X: np.ndarray) -> np.ndarray:
+        TX = block_matvec(T, X)
+        w = block_norms(TX)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            q = part(block_vdot(X, TX)) / w
+        return np.where(w < 1e-12, math.inf, q)
 
     return value
 
 
 def _sampling_oracle(
-    label: str, T: np.ndarray, part: Callable[[complex], float], main: float, seed: int
+    label: str, T: np.ndarray, part: Callable[[np.ndarray], np.ndarray], main: float, seed: int
 ) -> dict[str, float]:
     """Feasible-side check: the optimizer must match or beat the sampler."""
     n = T.shape[0]
@@ -228,9 +242,12 @@ def _check_grid_oracle(label: str, main: float, oracle: float, scale: float) -> 
 
 
 def _grid_min(
-    norm_at: Callable[[Any], float], radius: float, use_complex: bool
+    norm_at: Callable[[np.ndarray], np.ndarray], radius: float, use_complex: bool
 ) -> float:
-    """Grid minimum of a norm over real s in [-radius, radius] or complex s in the square."""
+    """Grid minimum of a norm over real s in [-radius, radius] or complex s in the square.
+
+    norm_at maps a 1-D array of scalars s to the norm at each.
+    """
     if use_complex:
         _, value = grid_min_complex(norm_at, radius, GridSpec(-radius, radius, 81, 4))
     else:
@@ -246,7 +263,9 @@ def _scaled_identity_min(T: np.ndarray, use_complex: bool) -> float:
     """Grid minimum of ||s*T - I||, the oracle for sin and the min-max sides."""
     eye = np.eye(T.shape[0])
     radius = max(2.0 / operator_norm(T), 1e-6)
-    return _grid_min(lambda s: operator_norm(s * T - eye), radius, use_complex)
+    return _grid_min(
+        lambda s: operator_norms(s[:, None, None] * T - eye), radius, use_complex
+    )
 
 
 # A command handler: (T, A, tol, args, cfg) -> (results, witnesses, diagnostics).
@@ -286,7 +305,7 @@ def _cmd_total_cos(T, A, tol, args, cfg):
     }
     if args.verify:
         diagnostics["oracle"] = _sampling_oracle(
-            "total-cos", T, abs, rep.total_cos_direct, cfg.seed
+            "total-cos", T, _modulus, rep.total_cos_direct, cfg.seed
         )
     return results, witnesses, diagnostics
 
@@ -318,7 +337,9 @@ def _cmd_center(T, A, tol, args, cfg):
     diagnostics: dict[str, Any] = {}
     if args.verify:
         oracle = _grid_min(
-            lambda s: operator_norm(T - s * A), _pair_range(T, A), args.use_complex
+            lambda s: operator_norms(T - s[:, None, None] * A),
+            _pair_range(T, A),
+            args.use_complex,
         )
         scale = max(1.0, operator_norm(T))
         delta = _check_grid_oracle("center-of-mass", center.residual, oracle, scale)
@@ -342,7 +363,9 @@ def _cmd_orthogonal(T, A, tol, args, cfg):
     diagnostics: dict[str, Any] = {}
     if args.verify:
         oracle = _grid_min(
-            lambda s: operator_norm(T + s * A), _pair_range(T, A), args.use_complex
+            lambda s: operator_norms(T + s[:, None, None] * A),
+            _pair_range(T, A),
+            args.use_complex,
         )
         nt = operator_norm(T)
         delta = oracle - nt
@@ -373,19 +396,19 @@ def _cmd_w0(T, A, tol, args, cfg):
         sub = maximizing_subspace(T)
         V = sub.basis
         k = V.shape[1]
-        rng = np.random.default_rng(cfg.seed)
-        worst = 0.0
-        for _ in range(_W0_SAMPLES):
-            y = rng.standard_normal(k) + 1j * rng.standard_normal(k)
-            y /= np.linalg.norm(y)
-            x = V @ y
-            val = float(np.real(np.vdot(A @ x, T @ x)))
-            worst = max(worst, iv.lo - val, val - iv.hi)
-            if val < iv.lo - _W0_SLACK or val > iv.hi + _W0_SLACK:
-                raise OracleMismatch(
-                    f"w0: sampled pairing {val:.9e} escapes "
-                    f"[{iv.lo:.9e}, {iv.hi:.9e}]"
-                )
+        # (samples, 2, k) takes the stream as the per-sample re, then im, draws did
+        z = np.random.default_rng(cfg.seed).standard_normal((_W0_SAMPLES, 2, k))
+        Y = (z[:, 0] + 1j * z[:, 1]).T
+        Y = Y / block_norms(Y)
+        X = block_matvec(V, Y)
+        vals = block_vdot(block_matvec(A, X), block_matvec(T, X)).real
+        escaped = np.flatnonzero((vals < iv.lo - _W0_SLACK) | (vals > iv.hi + _W0_SLACK))
+        if escaped.size:
+            raise OracleMismatch(
+                f"w0: sampled pairing {vals[escaped[0]]:.9e} escapes "
+                f"[{iv.lo:.9e}, {iv.hi:.9e}]"
+            )
+        worst = max(0.0, float(np.max(iv.lo - vals)), float(np.max(vals - iv.hi)))
         diagnostics["oracle"] = {"samples": _W0_SAMPLES, "max_violation": worst}
     return results, witnesses, diagnostics
 

@@ -4,6 +4,11 @@ Operators are square complex ndarrays, vectors are 1-d complex ndarrays,
 and a block of m vectors is an (n, m) ndarray with one vector per column.
 The inner product is linear in the first slot and conjugate-linear in the
 second, so ``inner(u, v) == np.vdot(v, u)``.
+
+The ``block_*`` kernels and ``operator_norms`` evaluate a whole block or
+stack in one call and round every entry exactly as the one-vector (or
+one-matrix) numpy call rounds it, so a block evaluation reproduces a loop
+over vectors bit for bit.
 """
 
 from __future__ import annotations
@@ -70,6 +75,42 @@ def operator_norm(T: np.ndarray) -> float:
     if T.size == 0:
         return 0.0
     return float(np.linalg.svd(T, compute_uv=False)[0])
+
+
+def operator_norms(stack: np.ndarray) -> np.ndarray:
+    """operator_norm of each matrix in an (m, n, n) stack, by one stacked SVD."""
+    stack = np.asarray(stack, dtype=np.complex128)
+    return np.linalg.svd(stack, compute_uv=False)[:, 0]
+
+
+def _row_dots(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Entry i is u[i] @ v[i], one BLAS dot per row as np.dot does for one pair."""
+    return (u[:, None, :] @ v[:, :, None])[:, 0, 0]
+
+
+def block_norms(X: np.ndarray) -> np.ndarray:
+    """np.linalg.norm of each column of an (n, m) complex block."""
+    P = np.asarray(X, dtype=np.complex128).T
+    # a complex norm is sqrt(re . re + im . im), each a dot over a strided view
+    return np.sqrt(_row_dots(P.real, P.real) + _row_dots(P.imag, P.imag))
+
+
+def block_vdot(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """np.vdot(X[:, j], Y[:, j]) for each column j of two (n, m) blocks.
+
+    Unlike ``_col_vdot``, this rounds as np.vdot does on contiguous
+    vectors; that takes contiguous rows of the transposed blocks, which are
+    copied when they are not.
+    """
+    P = np.ascontiguousarray(np.asarray(X, dtype=np.complex128).T)
+    Q = np.ascontiguousarray(np.asarray(Y, dtype=np.complex128).T)
+    return _row_dots(P.conj(), Q)
+
+
+def block_matvec(M: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """The block whose column j is M @ X[:, j], for an (n, m) block X."""
+    P = np.asarray(X).T
+    return (M @ P[:, :, None])[:, :, 0].T
 
 
 def sigma_min(T: np.ndarray) -> float:

@@ -24,6 +24,9 @@ from optrig import (
     SphereOptConfig,
     attain_pairing_target,
     attaining_interval,
+    block_matvec,
+    block_norms,
+    block_vdot,
     center_uniqueness,
     cos_t,
     grid_min_complex,
@@ -36,6 +39,7 @@ from optrig import (
     minmax_check_complex,
     minmax_check_real,
     operator_norm,
+    operator_norms,
     real_center_of_mass,
     sin_t,
     sphere_refine_min,
@@ -225,12 +229,11 @@ def test_criterion_08_oracle_equivalence():
             T = accretive_matrix(rng, n)
             c, _ = cos_t(T, cfg)
 
-            def cos_val(x, T=T):
-                Tx = T @ x
-                w = float(np.linalg.norm(Tx))
-                if w < 1e-12:
-                    return np.inf
-                return float(np.real(np.vdot(x, Tx))) / w
+            def cos_val(X, T=T):
+                TX = block_matvec(T, X)
+                w = block_norms(TX)
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    return np.where(w < 1e-12, np.inf, np.real(block_vdot(X, TX)) / w)
 
             if n == 2:
                 oracle, _ = sphere_sample_min(cos_val, 2, samples=4000, seed=0)
@@ -242,12 +245,11 @@ def test_criterion_08_oracle_equivalence():
             S = invertible_matrix(rng, n)
             t, _ = total_cos_t(S, cfg)
 
-            def total_val(x, S=S):
-                Sx = S @ x
-                w = float(np.linalg.norm(Sx))
-                if w < 1e-12:
-                    return np.inf
-                return float(abs(np.vdot(x, Sx))) / w
+            def total_val(X, S=S):
+                SX = block_matvec(S, X)
+                w = block_norms(SX)
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    return np.where(w < 1e-12, np.inf, np.abs(block_vdot(X, SX)) / w)
 
             if n == 2:
                 oracle, _ = sphere_sample_min(total_val, 2, samples=4000, seed=0)
@@ -262,7 +264,8 @@ def test_criterion_08_oracle_equivalence():
         s, eps0 = sin_t(T)
         radius = 2.0 / operator_norm(T)
         _, gv = grid_min_real(
-            lambda e: operator_norm(e * T - np.eye(n)), GridSpec(-radius, radius)
+            lambda e: operator_norms(e[:, None, None] * T - np.eye(n)),
+            GridSpec(-radius, radius),
         )
         assert abs(s - gv) <= 1e-3
 
@@ -272,13 +275,13 @@ def test_criterion_08_oracle_equivalence():
         rc = real_center_of_mass(B, A)
         radius = 2.0 * operator_norm(B) / operator_norm(A) + 1.0
         _, gv = grid_min_real(
-            lambda e: operator_norm(B - e * A), GridSpec(-radius, radius)
+            lambda e: operator_norms(B - e[:, None, None] * A), GridSpec(-radius, radius)
         )
         assert abs(rc.residual - gv) <= 1e-3 * scale
 
         tc = total_center_of_mass(B, A)
         _, gv = grid_min_complex(
-            lambda lam: operator_norm(B - lam * A),
+            lambda lam: operator_norms(B - lam[:, None, None] * A),
             radius,
             GridSpec(-radius, radius, points=81, refine_rounds=4),
         )
@@ -289,7 +292,7 @@ def test_criterion_08_oracle_equivalence():
         radius = 2.0 / min(np.linalg.svd(S, compute_uv=False))
 
         def shifted_norm_sq(e, S=S, n=n):
-            return operator_norm(e * S - np.eye(n)) ** 2
+            return operator_norms(e[:, None, None] * S - np.eye(n)) ** 2
 
         _, gv = grid_min_real(shifted_norm_sq, GridSpec(0.0, radius))
         assert abs(rhs - gv) <= 1e-3 * max(1.0, gv)

@@ -11,12 +11,16 @@ from optrig import (
     as_operator,
     as_operator_pair,
     as_vector,
+    block_matvec,
+    block_norms,
+    block_vdot,
     haar_unit_vector,
     hermitian_min_eig,
     hermitian_part,
     inner,
     maximizing_subspace,
     operator_norm,
+    operator_norms,
     phase_normalize,
     sigma_min,
 )
@@ -161,3 +165,28 @@ def test_phase_normalize_keeps_zero_vector():
 def test_haar_unit_vector_is_unit(seed, n):
     rng = np.random.default_rng(seed)
     assert np.linalg.norm(haar_unit_vector(rng, n)) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 8, 16])
+@pytest.mark.parametrize("layout", ["C", "F"])
+def test_block_kernels_round_as_one_vector_calls(n, layout):
+    # bit for bit, in either memory layout of the block: the oracles rely on
+    # it to reproduce their one-point-at-a-time results
+    rng = np.random.default_rng(n)
+    M = gauss_matrix(rng, n)
+    V = gauss_matrix(rng, n)[:, : max(1, n - 1)]
+    X = np.array(gauss_matrix(rng, 40)[:n], order=layout)
+    Y = np.array(gauss_matrix(rng, 40)[:n], order=layout)
+    Z = np.array(gauss_matrix(rng, 40)[: V.shape[1]], order=layout)
+    # the one-vector calls get contiguous vectors, as the oracles' loops did
+    xs, ys, zs = (list(np.ascontiguousarray(B.T)) for B in (X, Y, Z))
+    assert np.array_equal(block_norms(X), [np.linalg.norm(x) for x in xs])
+    assert np.array_equal(block_vdot(X, Y), [np.vdot(x, y) for x, y in zip(xs, ys)])
+    assert np.array_equal(block_matvec(M, X), np.stack([M @ x for x in xs], axis=1))
+    assert np.array_equal(block_matvec(V, Z), np.stack([V @ z for z in zs], axis=1))
+
+
+def test_operator_norms_match_operator_norm():
+    rng = np.random.default_rng(3)
+    stack = np.stack([gauss_matrix(rng, 3) for _ in range(7)])
+    assert np.array_equal(operator_norms(stack), [operator_norm(m) for m in stack])
