@@ -263,9 +263,7 @@ def _scaled_identity_min(T: np.ndarray, use_complex: bool) -> float:
     """Grid minimum of ||s*T - I||, the oracle for sin and the min-max sides."""
     eye = np.eye(T.shape[0])
     radius = max(2.0 / operator_norm(T), 1e-6)
-    return _grid_min(
-        lambda s: operator_norms(s[:, None, None] * T - eye), radius, use_complex
-    )
+    return _grid_min(lambda s: operator_norms(s[:, None, None] * T - eye), radius, use_complex)
 
 
 # A command handler: (T, A, tol, args, cfg) -> (results, witnesses, diagnostics).
@@ -337,9 +335,7 @@ def _cmd_center(T, A, tol, args, cfg):
     diagnostics: dict[str, Any] = {}
     if args.verify:
         oracle = _grid_min(
-            lambda s: operator_norms(T - s[:, None, None] * A),
-            _pair_range(T, A),
-            args.use_complex,
+            lambda s: operator_norms(T - s[:, None, None] * A), _pair_range(T, A), args.use_complex
         )
         scale = max(1.0, operator_norm(T))
         delta = _check_grid_oracle("center-of-mass", center.residual, oracle, scale)
@@ -363,9 +359,7 @@ def _cmd_orthogonal(T, A, tol, args, cfg):
     diagnostics: dict[str, Any] = {}
     if args.verify:
         oracle = _grid_min(
-            lambda s: operator_norms(T + s[:, None, None] * A),
-            _pair_range(T, A),
-            args.use_complex,
+            lambda s: operator_norms(T + s[:, None, None] * A), _pair_range(T, A), args.use_complex
         )
         nt = operator_norm(T)
         delta = oracle - nt
