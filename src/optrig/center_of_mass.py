@@ -16,6 +16,9 @@ convexity puts a minimizer inside, so the warm start costs no exactness.
 
 flat_interval approximates the exact minimizer set: the sub-level set of
 the residual plus a machine-noise-aware slack (never more than tol).
+
+Witnesses come, with no seeds, from eigenvectors of the Hermitian parts of
+the pairing form K on the maximizing subspace of T - c*A (total: of e^{it} K).
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ import numpy as np
 
 from .errors import WitnessNotFound, ZeroRelativeOperator
 from .linalg import (
-    _col_vdot,
     as_operator,
     as_operator_pair,
     maximizing_subspace,
@@ -36,11 +38,11 @@ from .linalg import (
     phase_normalize,
     sigma_min,
 )
-from .sphere_opt import SphereOptConfig, minimize_on_sphere
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _FLAT_SLACK = 1e-14
 _UNIQUE_RADIUS = 1e-4
+_SCAN = 16  # angles of the numerical-range scan of the total witness
 
 
 @dataclass(frozen=True)
@@ -261,82 +263,102 @@ def center_uniqueness(A, tol: float = 1e-9) -> bool:
     return bool(sigma_min(A) > tol)
 
 
-def _real_form_witness(K: np.ndarray) -> tuple[np.ndarray, float]:
-    """Unit y minimizing |Re <BVy, AVy>| = |y* herm(K) y|, by eigendecomposition.
+def _real_form_witness(K: np.ndarray, target: float = 0.0) -> tuple[np.ndarray, float]:
+    """Unit y with y* herm(K) y nearest the target, and the miss y* herm(K) y - target.
 
-    The quadratic form ranges over [lmin, lmax]; if the interval straddles
-    zero an exact zero is hit by mixing the extreme eigenvectors.
+    The form ranges over [lmin, lmax]; mixing the orthogonal extreme eigenvectors
+    with weights t = (lmax - target) / (lmax - lmin) and 1 - t hits any target in it.
     """
     kh = (K + K.conj().T) / 2.0
     lam, vec = np.linalg.eigh(kh)
     lmin, lmax = float(lam[0]), float(lam[-1])
-    if lmin >= 0.0:
-        return vec[:, 0], lmin
-    if lmax <= 0.0:
-        return vec[:, -1], lmax
-    t = lmax / (lmax - lmin)
+    if lmin >= target:
+        return vec[:, 0], lmin - target
+    if lmax <= target:
+        return vec[:, -1], lmax - target
+    t = (lmax - target) / (lmax - lmin)
     y = math.sqrt(t) * vec[:, 0] + math.sqrt(1.0 - t) * vec[:, -1]
-    return y, float(np.real(np.vdot(y, kh @ y)))
+    return y, float(np.real(np.vdot(y, kh @ y))) - target
 
 
-def _total_form_witness(
-    K: np.ndarray, cfg: SphereOptConfig | None = None
-) -> tuple[np.ndarray, float]:
-    """Unit y minimizing |<BVy, AVy>| = |y* K y|, by seeded sphere search.
+def _total_form_witness(K: np.ndarray) -> tuple[np.ndarray, float]:
+    """Unit y minimizing |y* K y| (= |<BVy, AVy>|): a point of W(K) nearest 0.
 
-    The objective is the plain modulus, not its square: when the minimizer
-    zeroes out a coordinate the squared form is quartically flat there and
-    gradient descent stalls, while the modulus stays quadratic.
+    With e^{it} K = M(t) + i N(t), M and N Hermitian, a chord point mixes
+    the extreme eigenvectors u, v of M(t) so that x* M(t) x = 0, phased to
+    bring Im(e^{it} x*Kx) = c + 2ab Re(e^{i phi} u* N(t) v) to 0 or nearest
+    it (to 0 for k = 2 if 0 is in W(K)). Chords are taken at 16 angles, then
+    c(t) = -c(t + pi) is bisected to a chord holding 0. Failing that, 0 may
+    lie outside W(K): lambda_min(M(t)), unimodal near its maximum, is
+    maximized; its bottom eigenvectors there and the chord on the line to the
+    nearest point (for thin W(K), where they swing with t) compete. For k > 2
+    two final vectors of a search are joined by solving K on their span.
     """
     k = K.shape[0]
     if k == 1:
-        y = np.ones(1, dtype=np.complex128)
-        return y, abs(complex(K[0, 0]))
-    KH = K.conj().T
+        return np.ones(1, dtype=np.complex128), abs(complex(K[0, 0]))
+    H, S = (K + K.conj().T) / 2.0, (K - K.conj().T) / 2.0j
 
-    def value(Y: np.ndarray) -> np.ndarray:
-        return np.abs(_col_vdot(Y, K @ Y))
+    def eig(t):  # M(t) for an angle or an array of angles
+        t = np.asarray(t)[..., None, None]
+        return np.linalg.eigh(np.cos(t) * H - np.sin(t) * S)
 
-    def gradient(Y: np.ndarray) -> np.ndarray:
-        KY = K @ Y
-        q = _col_vdot(Y, KY)
-        aq = np.abs(q)
-        # the modulus has no gradient where the form vanishes; zero there
-        kink = aq < 1e-300
-        g = (np.conj(q) * KY + q * (KH @ Y)) / np.where(kink, 1.0, aq)
-        g[:, kink] = 0.0
-        return g
+    def chord(t, lam, vec):
+        lo, hi = float(lam[0]), float(lam[-1])
+        if not lo < 0.0 < hi:
+            return None
+        u, v = vec[:, 0], vec[:, -1]
+        a, b = math.sqrt(hi / (hi - lo)), math.sqrt(-lo / (hi - lo))
+        N = math.sin(t) * H + math.cos(t) * S
+        c = a * a * np.vdot(u, N @ u).real + b * b * np.vdot(v, N @ v).real
+        w = complex(np.vdot(u, N @ v))
+        r = abs(w)
+        rho = min(r, max(-r, -c / (2.0 * a * b)))  # Re(e^{i phi} w), Im >= 0
+        phase = (rho + 1j * math.sqrt(r * r - rho * rho)) * w.conjugate() / (r * r) if r else 1
+        return a * u + b * phase * v, c, abs(c) <= 2.0 * a * b * r
 
-    res = minimize_on_sphere(
-        value, k, cfg if cfg is not None else SphereOptConfig(), gradient=gradient
-    )
-    y, best = res.argmin, res.value
+    def joined(x1, x2):
+        G = np.linalg.qr(np.column_stack([x1, x2]))[0]
+        return G @ _total_form_witness(G.conj().T @ K @ G)[0]
 
-    # scipy.optimize is imported here, not at module level: it takes about
-    # half a second to import and nothing else in the package needs it.
-    from scipy.optimize import minimize
-
-    # Near a zero of the form the valley is a cone far steeper across than
-    # along, which caps gradient steps at ~|q| and stalls the sphere search;
-    # a simplex polish adapts its shape to the valley and finishes the job.
-    def packed(p: np.ndarray) -> float:
-        z = p[:k] + 1j * p[k:]
-        nrm = np.linalg.norm(z)
-        if nrm < 1e-12:
-            return np.inf
-        return float(value((z / nrm)[:, None])[0])
-
-    nm = minimize(
-        packed,
-        np.concatenate([y.real, y.imag]),
-        method="Nelder-Mead",
-        options={"xatol": 1e-13, "fatol": 1e-15, "maxiter": 6000, "maxfev": 9000},
-    )
-    if float(nm.fun) < best:
-        z = nm.x[:k] + 1j * nm.x[k:]
-        y = z / np.linalg.norm(z)
-        best = float(nm.fun)
-    return y, best
+    step = 2.0 * math.pi / _SCAN
+    angles = step * np.arange(_SCAN)
+    lams, vecs = eig(angles)
+    top = max(zip(lams[:, 0].tolist(), angles.tolist()))  # best (lambda_min, t)
+    chords = [chord(t, lam, vec) for t, lam, vec in zip(angles, lams, vecs)]
+    found = [ch[0] for ch in chords if ch]
+    hit = any(ch and ch[2] for ch in chords)
+    turns = [j for j in range(_SCAN) if chords[j - 1] and chords[j]
+             and chords[j - 1][1] * chords[j][1] < 0.0]
+    if not hit and top[0] < 0.0 and turns:
+        j = turns[0]
+        ends = {ch[1] < 0.0: (t, ch) for t, ch in
+                ((angles[j] - step, chords[j - 1]), (angles[j], chords[j]))}
+        for _ in range(64):
+            mid = 0.5 * (ends[True][0] + ends[False][0])
+            lam, vec = eig(mid)
+            # no chord at mid: 0 is outside W(K), on the side of mid or mid + pi
+            top = max(top, (float(lam[0]), mid), (-float(lam[-1]), mid + math.pi))
+            ch = chord(mid, lam, vec)
+            if ch is None:
+                break
+            found.append(ch[0])
+            ends[ch[1] < 0.0] = (mid, ch)
+            hit = ch[2]
+            if hit:
+                break
+        if not hit and k > 2:
+            found.append(joined(ends[True][1][0], ends[False][1][0]))
+    if not hit:
+        t, _ = _golden_min(lambda t: -float(eig(t)[0][0]), top[1] - step, top[1] + step, 1e-14)
+        bottoms = [eig(t + dt)[1][:, 0] for dt in (-1e-13, 0.0, 1e-13)]  # astride t
+        ch = chord(t + 0.5 * math.pi, *eig(t + 0.5 * math.pi))
+        found += bottoms + ([ch[0]] if ch else [])
+        if k > 2:
+            found.append(joined(bottoms[0], bottoms[2]))
+    values = [abs(complex(np.vdot(y, K @ y))) for y in found]
+    best = int(np.argmin(values))
+    return found[best], values[best]
 
 
 def extract_witness(
@@ -357,10 +379,7 @@ def extract_witness(
         return _basis_vector(n)
     V = maximizing_subspace(B).basis
     K = (A @ V).conj().T @ (B @ V)
-    if total:
-        y, value = _total_form_witness(K)
-    else:
-        y, value = _real_form_witness(K)
+    y, value = (_total_form_witness if total else _real_form_witness)(K)
     if abs(value) > witness_tol * max(1.0, nb * na):
         kind = "total" if total else "real"
         raise WitnessNotFound(

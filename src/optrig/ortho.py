@@ -5,8 +5,8 @@ over norm-attaining unit x form a closed interval (the restriction of the
 pairing to that subspace is a Hermitian quadratic form, so the interval is
 its eigenvalue range), and T is real-orthogonal to A exactly when the
 interval contains zero. The total variant asks for a norm-attaining x with
-<Tx, Ax> ~ 0 in modulus; no convexity of the complex value set is assumed,
-the modulus is minimized directly.
+<Tx, Ax> ~ 0 in modulus: the distance from 0 to the (convex) numerical
+range of the pairing form, read off eigenvectors without seeds.
 
 Route two goes through the center of mass: T is real-orthogonal to A
 exactly when 0 minimizes eps -> ||T - eps*A|| (totally: when no complex
@@ -27,14 +27,8 @@ from .center_of_mass import (
     total_center_of_mass,
 )
 from .errors import RouteDisagreement, ZeroOperator, ZeroRelativeOperator
-from .linalg import (
-    _col_vdot,
-    as_operator_pair,
-    maximizing_subspace,
-    operator_norm,
-    phase_normalize,
-)
-from .sphere_opt import SphereOptConfig, minimize_on_sphere
+from .linalg import as_operator_pair, maximizing_subspace, operator_norm, phase_normalize
+from .sphere_opt import SphereOptConfig
 
 
 @dataclass(frozen=True)
@@ -94,43 +88,32 @@ def _interval_of(V: np.ndarray, K: np.ndarray) -> AttainingInterval:
 def attain_pairing_target(
     T, A, target: float, cfg: SphereOptConfig | None = None
 ) -> np.ndarray:
-    """Unit x in the maximizing subspace of T with Re <Tx, Ax> near the target.
+    """Unit x in the maximizing subspace of T with Re <Tx, Ax> = target.
 
-    Demonstrates that the attaining interval fills up: any target between
-    lo and hi is reachable. Found by seeded sphere search on the squared
-    miss inside the subspace.
+    Demonstrates that the attaining interval fills up: x = sqrt(1 - t) x_lo +
+    sqrt(t) x_hi with t = (target - lo) / (hi - lo) hits any target in it,
+    a target outside gets the nearer end. cfg is accepted and ignored.
     """
     T, A = as_operator_pair(T, A)
     if operator_norm(T) == 0.0:
         raise ZeroOperator("attaining interval undefined for the zero operator")
     V, K = _pairing_matrix(T, A)
-    k = V.shape[1]
-    if k == 1:
-        return phase_normalize(V[:, 0])
-    kh = (K + K.conj().T) / 2.0
-
-    def value(Y: np.ndarray) -> np.ndarray:
-        q = _col_vdot(Y, kh @ Y).real
-        return (q - target) ** 2
-
-    def gradient(Y: np.ndarray) -> np.ndarray:
-        khY = kh @ Y
-        q = _col_vdot(Y, khY).real
-        return 4.0 * (q - target) * khY
-
-    res = minimize_on_sphere(value, k, cfg if cfg is not None else SphereOptConfig(), gradient)
-    return phase_normalize(V @ res.argmin)
+    y, _ = _real_form_witness(K, target)
+    return phase_normalize(V @ y)
 
 
 def total_pairing_min(
     T, A, cfg: SphereOptConfig | None = None
 ) -> tuple[float, np.ndarray]:
-    """Minimum of |<Tx, Ax>| over norm-attaining unit x, with a minimizer."""
+    """Minimum of |<Tx, Ax>| over norm-attaining unit x, with a minimizer.
+
+    cfg is accepted for compatibility and ignored: nothing here is seeded.
+    """
     T, A = as_operator_pair(T, A)
     if operator_norm(T) == 0.0:
         raise ZeroOperator("pairing minimum undefined for the zero operator")
     V, K = _pairing_matrix(T, A)
-    y, value = _total_form_witness(K, cfg)
+    y, value = _total_form_witness(K)
     return value, phase_normalize(V @ y)
 
 
@@ -163,10 +146,7 @@ def is_real_orthogonal(T, A, tol: float = 1e-6) -> OrthogonalityVerdict:
             f"[{iv.lo:.3e}, {iv.hi:.3e}] vs center {rc.epsilon0:.3e} "
             f"(flat {rc.flat_interval}, tol {tol:g})"
         )
-    witness = None
-    if via_w0:
-        y, _ = _real_form_witness(K)
-        witness = phase_normalize(V @ y)
+    witness = phase_normalize(V @ _real_form_witness(K)[0]) if via_w0 else None
     return OrthogonalityVerdict(
         orthogonal=via_w0,
         route_w0=via_w0,
@@ -184,7 +164,7 @@ def is_total_orthogonal(
     route_w0: some norm-attaining x has |<Tx, Ax>| below tol (scaled by
     ||T|| ||A||). route_norm: the total center of mass leaves the residual
     at ||T|| (within a relative tol). Raises RouteDisagreement if the
-    routes differ.
+    routes differ. cfg is accepted and ignored: neither route is seeded.
     """
     T, A = as_operator_pair(T, A)
     nt = operator_norm(T)
@@ -193,7 +173,7 @@ def is_total_orthogonal(
         raise ZeroOperator("orthogonality undefined for the zero operator")
     if na == 0.0:
         raise ZeroRelativeOperator("relative operator A is zero")
-    pairing_min, x = total_pairing_min(T, A, cfg)
+    pairing_min, x = total_pairing_min(T, A)
     via_w0 = pairing_min <= tol * nt * na
     tc = total_center_of_mass(T, A)
     via_norm = tc.residual >= nt * (1.0 - tol)

@@ -1,20 +1,29 @@
 """Tests for the scalar centers of mass of one operator relative to another."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import gauss_matrix, invertible_matrix
+from conftest import gauss_matrix, invertible_matrix, unitary_matrix
 from optrig import (
+    SphereOptConfig,
     WitnessNotFound,
     ZeroRelativeOperator,
+    block_matvec,
+    block_vdot,
     center_uniqueness,
     extract_witness,
+    is_total_orthogonal,
     operator_norm,
     real_center_of_mass,
+    sphere_refine_min,
     total_center_of_mass,
+    total_pairing_min,
     total_trig_report,
 )
+from optrig.center_of_mass import _total_form_witness
 
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
 dims = st.integers(min_value=1, max_value=4)
@@ -215,3 +224,111 @@ def test_commuting_normal_pair_matches_pointwise_chebyshev(seed):
     grid = np.linspace(-4.0, 4.0, 20001)
     vals = np.max(np.abs(t[None, :] - grid[:, None] * a[None, :]), axis=1)
     assert rc.residual <= vals.min() + 1e-6
+
+
+# --- the total-witness kernel: least |y* K y| over unit y ---------------------
+
+
+def form_value(K, y):
+    return abs(complex(np.vdot(y, K @ y)))
+
+
+def rotation(theta):
+    c, s = np.cos(theta), np.sin(theta)
+    return np.array([[c, -s], [s, c]], dtype=complex)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_total_form_witness_on_thin_near_hermitian_form(k):
+    # W(K) is the real segment of an indefinite H lifted at most ~1e-9 off
+    # the axis: the bottom eigenvector at the best angle of the support
+    # function is no witness there, while a chord through 0 is.
+    rng = np.random.default_rng(40 + k)
+    if k == 2:
+        H = rotation(0.7) @ np.diag([0.28, -2.57]).astype(complex) @ rotation(-0.7)
+        P = np.array([[1.3, 0.4 - 0.2j], [0.4 + 0.2j, 0.3]])
+    else:
+        G = gauss_matrix(rng, k)
+        H = (G + G.conj().T) / 2.0
+        L = gauss_matrix(rng, k)[:, : k - 1]
+        P = L @ L.conj().T  # positive semidefinite, rank k - 1
+    assert np.linalg.eigvalsh(H)[0] < 0.0 < np.linalg.eigvalsh(H)[-1]
+    K = H + 1e-9j * P
+    y, value = _total_form_witness(K)
+    assert np.linalg.norm(y) == pytest.approx(1.0, abs=1e-12)
+    assert value == form_value(K, y)
+    assert value <= 1e-8
+
+
+def test_total_form_witness_is_attained_and_beats_the_sphere_oracle():
+    rng = np.random.default_rng(2009)
+    for k in (2, 3, 4):
+        for shift in (0.0, 0.5, 1.5):
+            K = gauss_matrix(rng, k) + shift * np.exp(1j * rng.uniform(0, 2 * np.pi)) * np.eye(k)
+            y, value = _total_form_witness(K)
+            assert np.linalg.norm(y) == pytest.approx(1.0, abs=1e-12)
+            assert value == form_value(K, y)
+            oracle, _ = sphere_refine_min(
+                lambda X, K=K: np.abs(block_vdot(X, block_matvec(K, X))), k, seed=0
+            )
+            assert value <= oracle + 1e-12
+
+
+def support_distance(K):
+    """max over t of lambda_min(herm(e^{it} K)): a 3600-angle scan, then a
+    3600-angle scan across the best cell."""
+    H = (K + K.conj().T) / 2.0
+    S = (K - K.conj().T) / 2.0j
+
+    def lam_min(t):
+        return np.linalg.eigvalsh(np.cos(t)[:, None, None] * H - np.sin(t)[:, None, None] * S)[:, 0]
+
+    coarse = np.linspace(0.0, 2.0 * np.pi, 3600, endpoint=False)
+    best = coarse[np.argmax(lam_min(coarse))]
+    cell = coarse[1] - coarse[0]
+    return float(lam_min(np.linspace(best - cell, best + cell, 3600)).max())
+
+
+def test_total_form_witness_matches_the_support_function_off_the_origin():
+    rng = np.random.default_rng(1978)
+    for k in (2, 3, 4):
+        for _ in range(3):
+            K = gauss_matrix(rng, k) + 3.0 * np.eye(k)
+            d = support_distance(K)
+            assert d > 0.0
+            _, value = _total_form_witness(K)
+            assert value == pytest.approx(d, abs=1e-9)
+
+
+def test_total_form_witness_finds_the_nearest_point_of_a_polygon():
+    # normal K: W(K) is the convex hull of the eigenvalues, here a triangle
+    # whose nearest point to 0 lies inside an edge, where lambda_min of the
+    # support function is a double eigenvalue
+    Q = unitary_matrix(np.random.default_rng(5), 3)
+    K = Q @ np.diag([1.0 + 1.0j, 1.0 - 2.0j, 3.0 + 0.5j]) @ Q.conj().T
+    y, value = _total_form_witness(K)
+    assert value == pytest.approx(1.0, abs=1e-12)
+    assert complex(np.vdot(y, K @ y)) == pytest.approx(1.0, abs=1e-9)
+    # and 0 inside the triangle is hit exactly
+    y, value = _total_form_witness(K - 1.5 * np.eye(3))
+    assert value <= 1e-14
+
+
+def test_total_witnesses_do_not_depend_on_the_seed(monkeypatch):
+    # diag(1, -1) has a circle of zeros of |x* K x|, so a seeded search
+    # lands on a seed-dependent one
+    T, A = np.diag([1.0, -1.0]), np.eye(2)
+
+    def results(seed):
+        # a config built with defaults inside the library would carry the seed too
+        defaults = tuple(
+            seed if f.name == "seed" else f.default for f in dataclasses.fields(SphereOptConfig)
+        )
+        monkeypatch.setattr(SphereOptConfig.__init__, "__defaults__", defaults)
+        cfg = SphereOptConfig(seed=seed)
+        value, x = total_pairing_min(T, A, cfg)
+        verdict = is_total_orthogonal(T, A, cfg=cfg)
+        witness = total_center_of_mass(T, A).witness
+        return value, x.tobytes(), verdict.pairing_min, verdict.witness.tobytes(), witness.tobytes()
+
+    assert results(0) == results(1)

@@ -60,6 +60,38 @@ def test_real_commands_do_not_import_scipy_optimize():
     assert proc.stdout.splitlines()[-1] == "False"
 
 
+# every command variant, each with --verify, on a bundled file it accepts
+ALL_VARIANTS = [
+    ["cos", "--matrix", "data/ex35.json"],
+    ["total-cos", "--matrix", "data/ex35.json"],
+    ["sin", "--matrix", "data/ex35.json"],
+    ["center-of-mass", "--matrix", "data/ex35.json", "--relative-to", "data/t10.json"],
+    ["center-of-mass", "--matrix", "data/ex35.json", "--complex"],
+    ["orthogonal", "--matrix", "data/t10.json", "--relative-to", "data/a01.json"],
+    ["orthogonal", "--matrix", "data/ex35.json", "--complex"],
+    ["w0", "--matrix", "data/ex35.json", "--relative-to", "data/a01.json"],
+    ["minmax", "--matrix", "data/ex35.json"],
+    ["minmax", "--matrix", "data/ex35.json", "--complex"],
+]
+
+
+def test_no_command_imports_scipy():
+    code = (
+        "import sys, optrig.cli; "
+        "code = optrig.cli.main(sys.argv[1:]); "
+        "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    for args in ALL_VARIANTS:
+        proc = subprocess.run(
+            [sys.executable, "-c", code, *args, "--verify"],
+            capture_output=True,
+            text=True,
+            cwd=PKG_ROOT,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "0 []", args
+
+
 def test_total_cos_with_verification():
     doc = report_of("total-cos", "--matrix", EX35, "--verify")
     assert doc["results"]["total_cos"] == pytest.approx(0.9101797, abs=1e-6)
