@@ -1,7 +1,9 @@
 """Property sweeps over seeded random ensembles, printing worst-case gaps.
 
 Checks, per matrix or pair:
-  - the real and total min-max identities (both code paths agree)
+  - the real and total min-max identities: the "min-max gap" is the distance
+    between 1 - cos^2 from the direct route and the squared residual of the
+    center-of-mass route
   - sin^2 + cos^2 = 1 and total_cos >= cos on accretive matrices
   - both orthogonality decision routes agree, and the center shifts
     T - eps0*A, T - lambda0*A are orthogonal to A

@@ -214,28 +214,3 @@ def minimize_on_sphere(
         restarts_agreeing=agreeing,
     )
 
-
-def maximize_on_sphere(
-    objective: Objective,
-    n: int,
-    cfg: SphereOptConfig | None = None,
-    gradient: Gradient | None = None,
-) -> SphereOptResult:
-    """Maximize a real column-wise objective over unit vectors in C^n.
-
-    Rejected points are marked by -inf here (sign-flipped sentinel).
-    """
-
-    def neg(X: np.ndarray) -> np.ndarray:
-        return -objective(X)
-
-    neg_grad: Gradient | None = None
-    if gradient is not None:
-        neg_grad = lambda X: -gradient(X)  # noqa: E731
-    r = minimize_on_sphere(neg, n, cfg, gradient=neg_grad)
-    return SphereOptResult(
-        value=-r.value,
-        argmin=r.argmin,
-        converged=r.converged,
-        restarts_agreeing=r.restarts_agreeing,
-    )

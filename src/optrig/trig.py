@@ -6,11 +6,14 @@ the real part by the modulus and only needs invertibility. sin_t is the
 minimum over eps > 0 of ||eps*T - I||, and sin^2 + cos^2 = 1 for strongly
 accretive T.
 
-Each quantity has two independent computations: direct sphere search, and
-the center-of-mass route (the witness of the center of I relative to T
-attains the antieigenvalue). The min-max checks compare the sup of the
-per-vector minimum 1 - Re<Tx,x>^2/||Tx||^2 (closed form) with the squared
-center residual; equality is the content being verified.
+Each quantity has two independent computations. The direct route for cos is
+a seed-free eigenvalue search on the dual of the min-max equality (eigh of
+Hermitian pencils Re T - a T*T); for total cos it is a seeded sphere search.
+The center-of-mass route (SVD norms) takes the witness of the center of I
+relative to T, which attains the antieigenvalue. The min-max checks compare
+the left side sup_x min_eps ||(eps*T - I)x||^2, which the min-max equality
+makes 1 - cos^2 (1 - total cos^2 in the complex variant) and which is taken
+from the direct route, with the squared center residual.
 """
 
 from __future__ import annotations
@@ -19,25 +22,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .center_of_mass import real_center_of_mass, total_center_of_mass
+from .center_of_mass import _real_form_witness, real_center_of_mass, total_center_of_mass
 from .errors import NotAccretive, RouteDisagreement, SingularOperator, ZeroImage
 from .linalg import (
     _col_vdot,
     as_operator,
     as_vector,
     hermitian_min_eig,
+    hermitian_part,
     operator_norm,
     phase_normalize,
     sigma_min,
 )
-from .sphere_opt import (
-    SphereOptConfig,
-    SphereOptResult,
-    maximize_on_sphere,
-    minimize_on_sphere,
-)
+from .sphere_opt import SphereOptConfig, minimize_on_sphere
 
 _IMAGE_GUARD = 1e-12
+# eigenvalues of Re T - a T*T this close to the bottom, relative to its
+# largest, count as the bottom cluster of the cosine dual
+_CLUSTER = 1e-10
 
 
 @dataclass(frozen=True)
@@ -91,31 +93,44 @@ def _total_cos_ratio(T: np.ndarray, x: np.ndarray) -> float:
 
 def _guarded_ratio(num: np.ndarray, den: np.ndarray, guard: float) -> np.ndarray:
     """num / den per column, +inf (the rejection sentinel) where den, a power
-    of ||Tx||, lies below its guard; 1 - ratio is then the -inf rejection of
-    a maximized objective."""
+    of ||Tx||, lies below its guard."""
     return np.divide(num, den, out=np.full_like(den, np.inf), where=den >= guard)
 
 
 def cos_t(T, cfg: SphereOptConfig | None = None) -> tuple[float, np.ndarray]:
-    """First antieigenvalue: min of Re <Tx, x> / ||Tx|| over unit x."""
+    """First antieigenvalue: min of Re <Tx, x> / ||Tx|| over unit x.
+
+    The search uses no seed, so cfg is accepted and ignored. By the min-max
+    equality cos T = 2 max sqrt(a b) over a, b >= 0 with Re T >= a T*T + b I.
+    Here b = beta(a) = lambda_min(Re T - a T*T) is concave, so
+    -log a - log beta(a) is convex on (0, lambda_min(Re(T^-1))), where beta
+    is positive (T^-* Re T T^-1 = Re(T^-1)). Bisection on the sign of its
+    subgradient a x*T*Tx - beta (x a bottom eigenvector) finds the optimum a.
+    Its bottom eigenvectors hold the antieigenvector: the mix x with
+    x*T*Tx = beta/a has Re <Tx, x> / ||Tx|| = 2 sqrt(a beta). The value
+    returned is the ratio at that x, an upper bound on cos T; 2 sqrt(a beta)
+    is a lower bound.
+    """
     T = as_operator(T)
     _accretive_or_raise(T)
-    TH = T.conj().T
-
-    def value(X: np.ndarray) -> np.ndarray:
-        TX = T @ X
-        w = np.linalg.norm(TX, axis=0)
-        u = _col_vdot(X, TX).real
-        return _guarded_ratio(u, w, _IMAGE_GUARD)
-
-    def gradient(X: np.ndarray) -> np.ndarray:
-        TX = T @ X
-        w = np.linalg.norm(TX, axis=0)
-        u = _col_vdot(X, TX).real
-        return (TX + TH @ X) / w - (u / w**3) * (TH @ TX)
-
-    res = minimize_on_sphere(value, T.shape[0], cfg, gradient)
-    return res.value, phase_normalize(res.argmin)
+    H, G = hermitian_part(T), T.conj().T @ T
+    lo, hi, bottom = 0.0, hermitian_min_eig(np.linalg.inv(T)), None
+    while lo < (a := 0.5 * (lo + hi)) < hi:
+        w, V = np.linalg.eigh(H - a * G)
+        if w[0] > 0.0 and a * np.vdot(V[:, 0], G @ V[:, 0]).real < w[0]:
+            lo, bottom = a, (w, V)
+        else:
+            hi = a
+    if bottom is None:
+        raise NotAccretive(
+            "operator is not strongly accretive to working precision: "
+            "hermitian part of its inverse is not positive definite"
+        )
+    w, V = bottom
+    C = V[:, w <= w[0] + _CLUSTER * w[-1]]
+    TC = T @ C
+    x = C @ _real_form_witness(TC.conj().T @ TC, float(w[0]) / lo)[0]
+    return _cos_ratio(T, x), phase_normalize(x)
 
 
 def total_cos_t(
@@ -200,66 +215,31 @@ def best_complex_scale(T, y) -> complex:
     return complex(np.vdot(Ty, y)) / w2
 
 
-def _sup_inner_min_real(T: np.ndarray, cfg: SphereOptConfig | None) -> SphereOptResult:
-    """Max over unit x of 1 - Re<Tx,x>^2 / ||Tx||^2 (closed-form inner min)."""
-    TH = T.conj().T
-
-    def value(X: np.ndarray) -> np.ndarray:
-        TX = T @ X
-        w2 = _col_vdot(TX, TX).real
-        u = _col_vdot(X, TX).real
-        return 1.0 - _guarded_ratio(u * u, w2, _IMAGE_GUARD**2)
-
-    def gradient(X: np.ndarray) -> np.ndarray:
-        TX = T @ X
-        w2 = _col_vdot(TX, TX).real
-        u = _col_vdot(X, TX).real
-        return (-2.0 * u / w2) * (TX + TH @ X) + (2.0 * u * u / w2**2) * (TH @ TX)
-
-    return maximize_on_sphere(value, T.shape[0], cfg, gradient)
-
-
-def _sup_inner_min_total(T: np.ndarray, cfg: SphereOptConfig | None) -> SphereOptResult:
-    """Max over unit x of 1 - |<Tx,x>|^2 / ||Tx||^2 (closed-form inner min)."""
-    TH = T.conj().T
-
-    def value(X: np.ndarray) -> np.ndarray:
-        TX = T @ X
-        w2 = _col_vdot(TX, TX).real
-        c = _col_vdot(X, TX)
-        return 1.0 - _guarded_ratio(c.real * c.real + c.imag * c.imag, w2, _IMAGE_GUARD**2)
-
-    def gradient(X: np.ndarray) -> np.ndarray:
-        TX = T @ X
-        w2 = _col_vdot(TX, TX).real
-        c = _col_vdot(X, TX)
-        ac2 = c.real * c.real + c.imag * c.imag
-        return (-2.0 / w2) * (np.conj(c) * TX + c * (TH @ X)) + (
-            2.0 * ac2 / w2**2
-        ) * (TH @ TX)
-
-    return maximize_on_sphere(value, T.shape[0], cfg, gradient)
-
-
 def minmax_check_real(T, cfg: SphereOptConfig | None = None) -> tuple[float, float]:
     """Both sides of the real min-max identity, by independent code paths.
 
-    lhs: sup over unit x of the per-vector minimum of ||(eps*T - I)x||^2.
+    lhs: sup over unit x of the per-vector minimum of ||(eps*T - I)x||^2,
+    which is 1 - Re<Tx,x>^2 / ||Tx||^2, so lhs = 1 - cos^2 from the direct
+    route (cos_t, eigenvalues of Hermitian pencils).
     rhs: min over eps > 0 of ||eps*T - I||^2 via center-of-mass search.
     """
     T = as_operator(T)
-    _accretive_or_raise(T)
-    lhs = _sup_inner_min_real(T, cfg).value
+    lhs = 1.0 - cos_t(T, cfg)[0] ** 2
     rc = real_center_of_mass(np.eye(T.shape[0]), T)
     assert rc.epsilon0 > 0.0, "accretive operator produced a nonpositive scale"
     return lhs, rc.residual**2
 
 
 def minmax_check_complex(T, cfg: SphereOptConfig | None = None) -> tuple[float, float]:
-    """Both sides of the complex min-max identity, by independent code paths."""
+    """Both sides of the complex min-max identity, by independent code paths.
+
+    lhs: sup over unit x of the per-vector minimum of ||(lam*T - I)x||^2 over
+    complex lam, which is 1 - |<Tx,x>|^2 / ||Tx||^2, so lhs = 1 - total cos^2
+    from the direct route (total_cos_t, a sphere search).
+    rhs: min over complex lam of ||lam*T - I||^2 via the total center.
+    """
     T = as_operator(T)
-    _invertible_or_raise(T)
-    lhs = _sup_inner_min_total(T, cfg).value
+    lhs = 1.0 - total_cos_t(T, cfg)[0] ** 2
     tc = total_center_of_mass(np.eye(T.shape[0]), T)
     return lhs, tc.residual**2
 
@@ -296,26 +276,23 @@ def trig_report(
     assert rc.epsilon0 > 0.0, "accretive operator produced a nonpositive scale"
     via = _cos_ratio(T, rc.witness)
     sin_value = rc.residual
-    lhs = _sup_inner_min_real(T, cfg).value
-    rhs = rc.residual**2
     if abs(direct - via) > cross_tol:
         raise RouteDisagreement(
             f"cos routes differ: direct {direct:.8e} vs center {via:.8e}"
         )
+    # the min-max gap (1 - direct^2) - residual^2 is this same deviation
     if abs(sin_value**2 + direct**2 - 1.0) > cross_tol:
         raise RouteDisagreement(
             f"sin^2 + cos^2 = {sin_value**2 + direct**2:.8e} deviates from 1"
         )
-    if abs(lhs - rhs) > cross_tol:
-        raise RouteDisagreement(f"min-max gap {abs(lhs - rhs):.3e} exceeds {cross_tol:g}")
     return TrigReport(
         cos_direct=direct,
         cos_via_center=via,
         antieigenvector=vec,
         epsilon0=rc.epsilon0,
         sin_value=sin_value,
-        minmax_lhs=lhs,
-        minmax_rhs=rhs,
+        minmax_lhs=1.0 - direct**2,
+        minmax_rhs=sin_value**2,
     )
 
 
@@ -328,7 +305,7 @@ def total_trig_report(
     direct, vec = total_cos_t(T, cfg)
     tc = total_center_of_mass(np.eye(T.shape[0]), T)
     via = _total_cos_ratio(T, tc.witness)
-    lhs = _sup_inner_min_total(T, cfg).value
+    lhs = 1.0 - direct**2
     rhs = tc.residual**2
     if abs(direct - via) > cross_tol:
         raise RouteDisagreement(

@@ -13,7 +13,6 @@ from optrig import (
     NonFiniteObjective,
     SphereOptConfig,
     haar_unit_vector,
-    maximize_on_sphere,
     minimize_on_sphere,
 )
 
@@ -42,17 +41,6 @@ def test_minimizes_rayleigh_quotient_to_smallest_eigenvalue(seed, n):
     assert res.value == pytest.approx(lo, abs=1e-7)
     assert np.linalg.norm(res.argmin) == pytest.approx(1.0)
     assert res.restarts_agreeing >= 1
-
-
-@given(seeds, dims)
-def test_maximizes_rayleigh_quotient_to_largest_eigenvalue(seed, n):
-    rng = np.random.default_rng(seed)
-    m = gauss_matrix(rng, n)
-    H = (m + m.conj().T) / 2.0
-    hi = float(np.linalg.eigvalsh(H)[-1])
-    value, gradient = rayleigh(H)
-    res = maximize_on_sphere(value, n, SphereOptConfig(restarts=8), gradient)
-    assert res.value == pytest.approx(hi, abs=1e-7)
 
 
 def test_finite_difference_fallback_matches_analytic():

@@ -1,5 +1,7 @@
 """Tests for antieigenvalue quantities and the min-max identity."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -23,14 +25,49 @@ from optrig import (
     total_trig_report,
     trig_report,
 )
+from optrig import cli
 
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
 dims = st.integers(min_value=2, max_value=4)
 FAST = SphereOptConfig(restarts=12)
 
+# Hermitian positive definite with eigenvalues 0.2715, 0.2769, 2.916, 3.562,
+# the two smallest nearly repeated. A seeded sphere search for its cosine
+# stopped 1.05e-5 above the closed form, which failed the route cross-check.
+HPD_NEAR_REPEATED = np.array(
+    [
+        [
+            (1.7535241324486428+0j), (-0.4112423226057886-0.5353725097299958j),
+            (0.13009465776912216+1.38354374744313j), (0.12312812888086462-0.2673335585392341j),
+        ],
+        [
+            (-0.4112423226057886+0.5353725097299958j), (2.2592104861184987+0j),
+            (0.16847366381918888-0.3250616773080921j), (1.1912800878965752-0.15029180234688827j),
+        ],
+        [
+            (0.13009465776912216-1.38354374744313j), (0.16847366381918888+0.3250616773080921j),
+            (1.878023538122739+0j), (0.23857598136447783-0.25925686846371965j),
+        ],
+        [
+            (0.12312812888086462+0.2673335585392341j), (1.1912800878965752+0.15029180234688827j),
+            (0.23857598136447783+0.25925686846371965j), (1.1359129155796868+0j),
+        ],
+    ]
+)
+
 
 def kantorovich_cos(m, M):
     return 2.0 * np.sqrt(m * M) / (m + M)
+
+
+def hpd_cos(T):
+    lam = np.linalg.eigvalsh(T)
+    return kantorovich_cos(lam[0], lam[-1])
+
+
+def hpd_matrix(rng, n):
+    U = unitary_matrix(rng, n)
+    return U @ np.diag(rng.uniform(0.1, 5.0, n)) @ U.conj().T
 
 
 @pytest.mark.parametrize("m,M", [(1.0, 4.0), (0.5, 2.0), (1.0, 9.0)])
@@ -61,13 +98,49 @@ def test_identity_has_cos_one():
     assert eps0 == pytest.approx(1.0, abs=1e-9)
 
 
+@pytest.mark.parametrize(
+    "T",
+    [pytest.param(HPD_NEAR_REPEATED, id="near-repeated")]
+    + [
+        pytest.param(hpd_matrix(np.random.default_rng(n), n), id=f"n{n}")
+        for n in (2, 3, 4, 8, 16, 32, 64)
+    ],
+)
+def test_cos_of_hermitian_positive_definite_matches_closed_form(T):
+    c, _ = cos_t(T)
+    assert c == pytest.approx(hpd_cos(T), abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "args", [["cos"], ["sin"], ["minmax", "--verify"]], ids=["cos", "sin", "minmax"]
+)
+def test_cli_accepts_near_repeated_hermitian_spectrum(tmp_path, monkeypatch, capsys, args):
+    path = tmp_path / "hpd.json"
+    entries = [[[z.real, z.imag] for z in row] for row in HPD_NEAR_REPEATED.tolist()]
+    path.write_text(json.dumps({"n": 4, "entries": entries}))
+    monkeypatch.delenv("OPTRIG_SEED", raising=False)
+    code = cli.main([args[0], "--matrix", str(path), *args[1:], "--output", "json"])
+    assert code == 0, capsys.readouterr().out
+
+
+def test_cos_ignores_search_config(rng):
+    T = accretive_matrix(rng, 4)
+    c0, x0 = cos_t(T)
+    for seed, restarts in [(0, 1), (1, 12), (7, 32), (2**31 - 1, 5)]:
+        c, x = cos_t(T, SphereOptConfig(seed=seed, restarts=restarts))
+        assert c == c0
+        assert np.array_equal(x, x0)
+
+
 @given(seeds, dims)
 def test_cos_invariant_under_positive_scaling(seed, n):
     rng = np.random.default_rng(seed)
-    T = accretive_matrix(rng, n)
-    c1, _ = cos_t(T, FAST)
-    c2, _ = cos_t(3.7 * T, FAST)
-    assert c1 == pytest.approx(c2, abs=1e-8)
+    # a Hermitian input has a multiple bottom eigenvalue at the dual optimum
+    for T in (accretive_matrix(rng, n), hpd_matrix(rng, n)):
+        c1, _ = cos_t(T, FAST)
+        for s in (3.7, 1e-8, 1e8):
+            c2, _ = cos_t(s * T, FAST)
+            assert c2 == pytest.approx(c1, abs=1e-12)
 
 
 @given(seeds, dims)
@@ -83,6 +156,10 @@ def test_cos_invariant_under_unitary_similarity(seed, n):
 def test_non_accretive_operator_refused():
     with pytest.raises(NotAccretive):
         cos_t(np.diag([1.0, -1.0]))
+    # Re T = 1e-16 I passes the first test, but Re(T^-1) rounds to indefinite
+    m = gauss_matrix(np.random.default_rng(1), 3)
+    with pytest.raises(NotAccretive):
+        cos_t((m - m.conj().T) / 2.0 + 1e-16 * np.eye(3))
     with pytest.raises(NotAccretive):
         sin_t(np.diag([1.0, 0.0]))
     with pytest.raises(NotAccretive):
