@@ -17,7 +17,6 @@ import time
 import numpy as np
 
 from optrig import (
-    SphereOptConfig,
     cos_t,
     hermitian_min_eig,
     is_real_orthogonal,
@@ -53,9 +52,7 @@ def main() -> int:
     ap.add_argument("--count", type=int, default=50, help="matrices per ensemble")
     ap.add_argument("--pairs", type=int, default=100, help="orthogonality pairs")
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--restarts", type=int, default=16)
     args = ap.parse_args()
-    cfg = SphereOptConfig(restarts=args.restarts, seed=args.seed)
     rng = np.random.default_rng(args.seed)
     sizes = [2, 3, 4]
 
@@ -64,15 +61,15 @@ def main() -> int:
     for i in range(args.count):
         n = sizes[i % 3]
         T = accretive(rng, n)
-        lhs, rhs = minmax_check_real(T, cfg)
+        lhs, rhs = minmax_check_real(T)
         worst_real = max(worst_real, abs(lhs - rhs))
-        c, _ = cos_t(T, cfg)
+        c, _ = cos_t(T)
         s, _ = sin_t(T)
-        tc, _ = total_cos_t(T, cfg)
+        tc, _ = total_cos_t(T)
         worst_identity = max(worst_identity, abs(s * s + c * c - 1.0))
         worst_order = max(worst_order, c - tc)
         S = invertible(rng, n)
-        lhs, rhs = minmax_check_complex(S, cfg)
+        lhs, rhs = minmax_check_complex(S)
         worst_total = max(worst_total, abs(lhs - rhs))
     print(f"min-max gap, real variant      {worst_real:.3e}")
     print(f"min-max gap, total variant     {worst_total:.3e}")
@@ -85,12 +82,12 @@ def main() -> int:
         T = gauss(rng, n)
         A = invertible(rng, n)
         rv = is_real_orthogonal(T, A)
-        tv = is_total_orthogonal(T, A, cfg=cfg)
+        tv = is_total_orthogonal(T, A)
         assert rv.route_w0 == rv.route_norm and tv.route_w0 == tv.route_norm
         rc = real_center_of_mass(T, A)
         assert is_real_orthogonal(T - rc.epsilon0 * A, A).orthogonal
         tcm = total_center_of_mass(T, A)
-        assert is_total_orthogonal(T - tcm.lambda0 * A, A, cfg=cfg).orthogonal
+        assert is_total_orthogonal(T - tcm.lambda0 * A, A).orthogonal
         agree += 1
     print(f"orthogonality routes agreed on {agree}/{args.pairs} pairs; center shifts orthogonal")
     print(f"elapsed {time.perf_counter() - t0:.1f}s")

@@ -1,6 +1,6 @@
 """Print the three worked reference cases next to their closed forms.
 
-Usage: python3 scripts/run_golden_cases.py [--restarts N] [--seed S]
+Usage: python3 scripts/run_golden_cases.py
 """
 
 import argparse
@@ -9,7 +9,6 @@ import math
 import numpy as np
 
 from optrig import (
-    SphereOptConfig,
     center_uniqueness,
     operator_norm,
     real_center_of_mass,
@@ -24,17 +23,13 @@ def row(label: str, got: float, want: float) -> None:
 
 
 def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--restarts", type=int, default=32)
-    ap.add_argument("--seed", type=int, default=0)
-    args = ap.parse_args()
-    cfg = SphereOptConfig(restarts=args.restarts, seed=args.seed)
+    argparse.ArgumentParser(description=__doc__).parse_args()
 
     T = np.diag([1.0 + 0.0j, 1.0 + 1.0j])
     sq2 = math.sqrt(2.0)
 
     print("case 1: real quantities of diag(1, 1+i)")
-    rep = trig_report(T, cfg)
+    rep = trig_report(T)
     row("cos", rep.cos_direct, 1.0 / sq2)
     row("cos via center", rep.cos_via_center, 1.0 / sq2)
     row("epsilon0", rep.epsilon0, 0.5)
@@ -43,7 +38,7 @@ def main() -> int:
     row("min-max rhs", rep.minmax_rhs, 0.5)
 
     print("case 2: total quantities of diag(1, 1+i)")
-    tot = total_trig_report(T, cfg)
+    tot = total_trig_report(T)
     row("total cos", tot.total_cos_direct, math.sqrt(2.0 * sq2 - 2.0))
     row("lambda0 real part", tot.lambda0.real, 1.0 / sq2)
     row("lambda0 imag part", tot.lambda0.imag, -(sq2 - 1.0) / sq2)

@@ -61,8 +61,8 @@ from .trig import minmax_check_complex, minmax_check_real, total_trig_report, tr
 
 _DEFAULT_RESTARTS = 32
 _ORACLE_CLOSE = 1e-3
-# tie slack for the order check: near an exact-zero minimum the oracle can
-# out-resolve the sphere optimizer's own stopping tolerance (~1e-7)
+# tie slack for the order check: how far the main result may sit above the
+# sampler's best point before the main route counts as wrong
 _ORACLE_FEASIBLE = 1e-6
 _ORACLE_MAX_DIM = 4
 _W0_SAMPLES = 2000
@@ -502,7 +502,7 @@ def _build_parser() -> argparse.ArgumentParser:
             "--restarts",
             type=int,
             default=_DEFAULT_RESTARTS,
-            help="sphere-search restarts",
+            help="ignored; kept for compatibility",
         )
         p.add_argument("--seed", type=int, default=None, help="base seed")
         p.add_argument(

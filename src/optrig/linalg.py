@@ -60,15 +60,6 @@ def inner(u: np.ndarray, v: np.ndarray) -> complex:
     return complex(np.vdot(v, u))
 
 
-def _col_vdot(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Column-wise ``np.vdot``: entry j is vdot(X[:, j], Y[:, j]).
-
-    Private so that per-layer tracing, which wraps the public functions of
-    each module, leaves this innermost kernel of the sphere objectives alone.
-    """
-    return (X.conj() * Y).sum(axis=0)
-
-
 def operator_norm(T: np.ndarray) -> float:
     """Largest singular value of T, i.e. max of ||Tx|| over unit x."""
     T = np.asarray(T, dtype=np.complex128)
@@ -98,9 +89,8 @@ def block_norms(X: np.ndarray) -> np.ndarray:
 def block_vdot(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """np.vdot(X[:, j], Y[:, j]) for each column j of two (n, m) blocks.
 
-    Unlike ``_col_vdot``, this rounds as np.vdot does on contiguous
-    vectors; that takes contiguous rows of the transposed blocks, which are
-    copied when they are not.
+    This rounds as np.vdot does on contiguous vectors; that takes contiguous
+    rows of the transposed blocks, which are copied when they are not.
     """
     P = np.ascontiguousarray(np.asarray(X, dtype=np.complex128).T)
     Q = np.ascontiguousarray(np.asarray(Y, dtype=np.complex128).T)

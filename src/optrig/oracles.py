@@ -12,8 +12,7 @@ Objectives are evaluated a block at a time:
 - a grid objective maps a 1-D array of scalars (real for grid_min_real,
   complex for grid_min_complex) to one value per scalar. A real grid scores
   a whole round in one call; a complex grid makes one call per grid row.
-- a sphere objective maps an (n, m) block of unit columns to m values, as
-  in sphere_opt.
+- a sphere objective maps an (n, m) block of unit columns to m values.
 
 The first minimum wins on ties, as argmin does. NaN and -inf raise
 NonFiniteObjective, and so does +inf on a grid; the sphere samplers skip

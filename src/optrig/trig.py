@@ -6,26 +6,33 @@ the real part by the modulus and only needs invertibility. sin_t is the
 minimum over eps > 0 of ||eps*T - I||, and sin^2 + cos^2 = 1 for strongly
 accretive T.
 
-Each quantity has two independent computations. The direct route for cos is
-a seed-free eigenvalue search on the dual of the min-max equality (eigh of
-Hermitian pencils Re T - a T*T); for total cos it is a seeded sphere search.
-The center-of-mass route (SVD norms) takes the witness of the center of I
-relative to T, which attains the antieigenvalue. The min-max checks compare
-the left side sup_x min_eps ||(eps*T - I)x||^2, which the min-max equality
-makes 1 - cos^2 (1 - total cos^2 in the complex variant) and which is taken
-from the direct route, with the squared center residual.
+Each quantity has two independent computations. The direct route is a
+seed-free eigenvalue search on the dual of the min-max equality: eigh of
+Hermitian pencils Re T - a T*T for cos, and of Re(e^{it} T) - a T*T over the
+angles t for total cos. The center-of-mass route (SVD norms) takes the
+witness of the center of I relative to T, which attains the antieigenvalue.
+The min-max checks compare the left side sup_x min_eps ||(eps*T - I)x||^2,
+which the min-max equality makes 1 - cos^2 (1 - total cos^2 in the complex
+variant) and which is taken from the direct route, with the squared center
+residual.
 """
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .center_of_mass import _real_form_witness, real_center_of_mass, total_center_of_mass
+from .center_of_mass import (
+    _real_form_witness,
+    _total_form_witness,
+    real_center_of_mass,
+    total_center_of_mass,
+)
 from .errors import NotAccretive, RouteDisagreement, SingularOperator, ZeroImage
 from .linalg import (
-    _col_vdot,
     as_operator,
     as_vector,
     hermitian_min_eig,
@@ -34,12 +41,14 @@ from .linalg import (
     phase_normalize,
     sigma_min,
 )
-from .sphere_opt import SphereOptConfig, minimize_on_sphere
+from .sphere_opt import SphereOptConfig
 
 _IMAGE_GUARD = 1e-12
 # eigenvalues of Re T - a T*T this close to the bottom, relative to its
 # largest, count as the bottom cluster of the cosine dual
 _CLUSTER = 1e-10
+# relative gap between the upper and lower bound that ends the total-cos search
+_CERTIFICATE = 1e-12
 
 
 @dataclass(frozen=True)
@@ -91,10 +100,82 @@ def _total_cos_ratio(T: np.ndarray, x: np.ndarray) -> float:
     return float(abs(np.vdot(x, Tx)) / np.linalg.norm(Tx))
 
 
-def _guarded_ratio(num: np.ndarray, den: np.ndarray, guard: float) -> np.ndarray:
-    """num / den per column, +inf (the rejection sentinel) where den, a power
-    of ||Tx||, lies below its guard."""
-    return np.divide(num, den, out=np.full_like(den, np.inf), where=den >= guard)
+def _cos_dual(H: np.ndarray, G: np.ndarray, hi: float):
+    """Maximize a * beta(a), beta(a) = lambda_min(H - a G), over a in (0, hi).
+
+    Returns the optimal a, beta(a) and the bottom eigenvalue cluster of
+    H - a G there (orthonormal columns), or None when beta(a) <= 0 at every
+    probe. -log a - log beta(a) is convex; bisection on the sign of its
+    subgradient a x*Gx - beta (x a bottom eigenvector) runs until the
+    midpoint no longer splits the bracket, which resolves a kink of beta
+    (a multiple bottom eigenvalue) to the last bit.
+    """
+    lo, bottom = 0.0, None
+    while lo < (a := 0.5 * (lo + hi)) < hi:
+        w, V = np.linalg.eigh(H - a * G)
+        if w[0] > 0.0 and a * np.vdot(V[:, 0], G @ V[:, 0]).real < w[0]:
+            lo, bottom = a, (w, V)
+        else:
+            hi = a
+    if bottom is None:
+        return None
+    w, V = bottom
+    return lo, float(w[0]), V[:, w <= w[0] + _CLUSTER * w[-1]]
+
+
+def _regula_falsi(f, lo: float, hi: float, f_lo: float, f_hi: float, first: float) -> None:
+    """Shrink a bracket [lo, hi] of the sign change of a nondecreasing f.
+
+    Each step is regula falsi with the Illinois halving of the end value that
+    stays twice in a row, and a bisection whenever two steps did not halve the
+    bracket or an end value is infinite (an infinite value carries only a
+    sign). The first probe is `first`. It stops when f returns None or the
+    bracket holds no float between its ends.
+    """
+    widths, side, x = [math.inf, math.inf], 0, first
+    while True:
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
+            if not lo < x < hi:
+                return
+        fx = f(x)
+        if fx is None:
+            return
+        widths = [widths[1], hi - lo]
+        if fx < 0.0:
+            lo, f_lo = x, fx
+            if side < 0:
+                f_hi *= 0.5
+            side = -1
+        else:
+            hi, f_hi = x, fx
+            if side > 0:
+                f_lo *= 0.5
+            side = 1
+        x = 0.5 * (lo + hi)
+        if math.isfinite(f_lo - f_hi) and hi - lo <= 0.5 * widths[0]:
+            x = lo + (hi - lo) * f_lo / (f_lo - f_hi)
+
+
+def _singular_witness(T: np.ndarray) -> np.ndarray:
+    """Unit x off the kernel of a nonzero singular T with |<Tx, x>| / ||Tx|| small.
+
+    With k in ker T and y orthogonal to k, x = a k + b y has
+    <Tx, x> = conj(a) b <Ty, k> + |b|^2 <Ty, y>. For y along T*k,
+    <Ty, k> = ||T*k|| > 0 and a, b are chosen to cancel the two terms. If
+    T*k = 0, every such x has ratio |b| |<Ty, y>| / ||Ty||, and b = 1e-8
+    keeps x off the kernel.
+    """
+    _, s, vh = np.linalg.svd(T)
+    k = vh[-1].conj()
+    y = T.conj().T @ k
+    if np.linalg.norm(y) <= _IMAGE_GUARD * s[0]:
+        x = k + 1e-8 * vh[0].conj()
+    else:
+        y /= np.linalg.norm(y)
+        Ty = T @ y
+        x = np.conj(np.vdot(k, Ty)) * y - np.conj(np.vdot(y, Ty)) * k
+    return phase_normalize(x / np.linalg.norm(x))
 
 
 def cos_t(T, cfg: SphereOptConfig | None = None) -> tuple[float, np.ndarray]:
@@ -104,8 +185,7 @@ def cos_t(T, cfg: SphereOptConfig | None = None) -> tuple[float, np.ndarray]:
     equality cos T = 2 max sqrt(a b) over a, b >= 0 with Re T >= a T*T + b I.
     Here b = beta(a) = lambda_min(Re T - a T*T) is concave, so
     -log a - log beta(a) is convex on (0, lambda_min(Re(T^-1))), where beta
-    is positive (T^-* Re T T^-1 = Re(T^-1)). Bisection on the sign of its
-    subgradient a x*T*Tx - beta (x a bottom eigenvector) finds the optimum a.
+    is positive (T^-* Re T T^-1 = Re(T^-1)); _cos_dual finds the optimum a.
     Its bottom eigenvectors hold the antieigenvector: the mix x with
     x*T*Tx = beta/a has Re <Tx, x> / ||Tx|| = 2 sqrt(a beta). The value
     returned is the ratio at that x, an upper bound on cos T; 2 sqrt(a beta)
@@ -113,24 +193,77 @@ def cos_t(T, cfg: SphereOptConfig | None = None) -> tuple[float, np.ndarray]:
     """
     T = as_operator(T)
     _accretive_or_raise(T)
-    H, G = hermitian_part(T), T.conj().T @ T
-    lo, hi, bottom = 0.0, hermitian_min_eig(np.linalg.inv(T)), None
-    while lo < (a := 0.5 * (lo + hi)) < hi:
-        w, V = np.linalg.eigh(H - a * G)
-        if w[0] > 0.0 and a * np.vdot(V[:, 0], G @ V[:, 0]).real < w[0]:
-            lo, bottom = a, (w, V)
-        else:
-            hi = a
-    if bottom is None:
+    dual = _cos_dual(hermitian_part(T), T.conj().T @ T, hermitian_min_eig(np.linalg.inv(T)))
+    if dual is None:
         raise NotAccretive(
             "operator is not strongly accretive to working precision: "
             "hermitian part of its inverse is not positive definite"
         )
-    w, V = bottom
-    C = V[:, w <= w[0] + _CLUSTER * w[-1]]
+    a, beta, C = dual
     TC = T @ C
-    x = C @ _real_form_witness(TC.conj().T @ TC, float(w[0]) / lo)[0]
+    x = C @ _real_form_witness(TC.conj().T @ TC, beta / a)[0]
     return _cos_ratio(T, x), phase_normalize(x)
+
+
+def _total_cos_bounds(T: np.ndarray) -> tuple[float, float, np.ndarray]:
+    """Upper and lower bound on total cos T for invertible T, and the witness
+    of the upper bound.
+
+    The angles t with Re(e^{it} T) > 0 form an arc, empty exactly when 0 is
+    in the numerical range W(T) and total cos T = 0. On the arc the
+    superlevel sets of cos(e^{it} T) are arcs, so it is unimodal. If z0 is
+    the point of W(T) nearest 0 (_total_form_witness), t0 = -arg z0 gives
+    Re(e^{it0} T) >= |z0| I, so t0 lies in the arc, and the arc lies within
+    pi/2 of t0. The derivative of cos(e^{it} T) in t is
+    -Im(e^{it} <Tx, x>) / ||Tx|| at its minimizer x, so the sign of h(t), the
+    sine of the phase of e^{it} <Tx, x>, tells on which side of t the maximum
+    lies. _regula_falsi walks the angle bracket; its first probe,
+    t0 - arcsin h(t0), turns <Tx, x> at t0 onto the positive axis.
+
+    At each angle, _cos_dual gives a, beta and the bottom cluster C. The
+    witness x = C y makes both x*T*Tx = beta/a and Im(e^{it} <Tx, x>) = 0,
+    or comes as near as C allows: y is a point of the numerical range of
+    C*(T*T - beta/a)C + i C*Im(e^{it} T)C nearest 0, by _total_form_witness
+    again. (For a normal T the optimal face can hold three eigenvectors, and
+    mixing two of them misses.) The ratio at a witness is an upper bound and
+    2 sqrt(a beta) a lower bound; the search stops when they agree to a
+    relative 1e-12, or when the bracket holds no float.
+    """
+    y, dist = _total_form_witness(T)
+    best = [_total_cos_ratio(T, y), 0.0, y]  # upper bound, lower bound, witness
+    if dist == 0.0:
+        return best[0], best[1], best[2]
+    t0 = -cmath.phase(complex(np.vdot(y, T @ y)))
+    G, T_inv = T.conj().T @ T, np.linalg.inv(T)
+
+    def slope_sign(t: float) -> float | None:
+        u = cmath.exp(1j * t)
+        hi = hermitian_min_eig(T_inv / u)  # lambda_min(Re((e^{it} T)^-1)), as in cos_t
+        dual = _cos_dual(hermitian_part(u * T), G, hi) if hi > 0.0 else None
+        if dual is None:  # Re(e^{it} T) is not positive definite: t is off the arc
+            return math.copysign(math.inf, t - t0)
+        a, beta, C = dual
+        P = C.conj().T @ (u * T) @ C
+        K = C.conj().T @ G @ C - (beta / a) * np.eye(C.shape[1]) + (P - P.conj().T) / 2.0
+        x = C @ _total_form_witness(K)[0]
+        Tx = T @ x
+        z = u * complex(np.vdot(x, Tx))
+        ratio = abs(z) / float(np.linalg.norm(Tx))
+        if ratio < best[0]:
+            best[0], best[2] = ratio, x
+        best[1] = max(best[1], 2.0 * math.sqrt(a * beta))
+        if best[0] - best[1] <= _CERTIFICATE * best[0]:
+            return None
+        return z.imag / abs(z)
+
+    h0 = slope_sign(t0)
+    if h0 is not None and math.isfinite(h0):
+        first = t0 - math.asin(h0)
+        if h0 < 0.0:
+            _regula_falsi(slope_sign, t0, t0 + 0.5 * math.pi, h0, math.inf, first)
+        else:
+            _regula_falsi(slope_sign, t0 - 0.5 * math.pi, t0, -math.inf, h0, first)
+    return best[0], best[1], best[2]
 
 
 def total_cos_t(
@@ -138,40 +271,40 @@ def total_cos_t(
 ) -> tuple[float, np.ndarray]:
     """Total antieigenvalue: min of |<Tx, x>| / ||Tx|| over unit x.
 
-    Singular T is refused unless allow_singular is set, in which case the
-    search runs over the complement of the kernel (||Tx|| above a guard).
+    The search uses no seed, so cfg is accepted and ignored. Singular T is
+    refused unless allow_singular is set. Then the infimum over x off the
+    kernel is 0 for nonzero T (_singular_witness builds x with ratio 0, or
+    at most 1e-8 where the infimum is not attained), and 0.0 is returned.
+
+    total cos T = max(0, max over t of cos(e^{it} T)). One side holds for
+    every x: |<Tx, x>| >= Re(e^{it} <Tx, x>). For the other, let
+    R = {(<Tx, x>, ||Tx||^2) : ||x|| = 1}, H = conv R and c > 0 with
+    |z| >= c sqrt(w) on R. The set S = {(z, w) : |z| < c sqrt(w)} is convex
+    and stays in S as w grows, so it meets H only if it meets R: for n >= 3
+    R = H (Au-Yeung and Poon, Southeast Asian Bull. Math. 3, 1979); for
+    n = 2, R is the image of the Bloch sphere under an affine map, so it is
+    convex or it is the ellipsoid surface bounding H, which a point of S in
+    H reaches by growing w. Hence |z| - c sqrt(w) >= 0 on H, i.e.
+    min over H of max over |u| <= 1 of Re(u z) - c sqrt(w) is >= 0. That
+    function is linear in u and convex in (z, w) on the compact convex H, so
+    Sion's minimax theorem swaps min and max: some u has Re(u z) >= c sqrt(w)
+    on R, and t = arg u gives cos(e^{it} T) >= c.
+
+    Each cos(e^{it} T) is the eigenvalue dual of cos_t; _total_cos_bounds
+    searches the angles. The value returned is an upper bound on total cos T
+    within a relative 1e-12 of a lower bound, with its witness.
     """
     T = as_operator(T)
-    guard = _IMAGE_GUARD
     if allow_singular:
-        guard = max(guard, 1e-8 * max(1.0, operator_norm(T)))
-        if operator_norm(T) == 0.0:
+        nt = operator_norm(T)
+        if nt == 0.0:
             raise SingularOperator("zero operator has no nonzero image")
+        if sigma_min(T) <= 1e-12 * max(1.0, nt):
+            return 0.0, _singular_witness(T)
     else:
         _invertible_or_raise(T)
-    TH = T.conj().T
-
-    def value(X: np.ndarray) -> np.ndarray:
-        TX = T @ X
-        w = np.linalg.norm(TX, axis=0)
-        ac = np.abs(_col_vdot(X, TX))
-        return _guarded_ratio(ac, w, guard)
-
-    def gradient(X: np.ndarray) -> np.ndarray:
-        TX = T @ X
-        w = np.linalg.norm(TX, axis=0)
-        c = _col_vdot(X, TX)
-        ac = np.abs(c)
-        # |<Tx, x>| has no gradient where it vanishes; those columns get zero
-        kink = ac < 1e-300
-        g = (np.conj(c) * TX + c * (TH @ X)) / (np.where(kink, 1.0, ac) * w) - (
-            ac / w**3
-        ) * (TH @ TX)
-        g[:, kink] = 0.0
-        return g
-
-    res = minimize_on_sphere(value, T.shape[0], cfg, gradient)
-    return res.value, phase_normalize(res.argmin)
+    upper, _, x = _total_cos_bounds(T)
+    return upper, phase_normalize(x)
 
 
 def sin_t(T) -> tuple[float, float]:
@@ -235,7 +368,7 @@ def minmax_check_complex(T, cfg: SphereOptConfig | None = None) -> tuple[float, 
 
     lhs: sup over unit x of the per-vector minimum of ||(lam*T - I)x||^2 over
     complex lam, which is 1 - |<Tx,x>|^2 / ||Tx||^2, so lhs = 1 - total cos^2
-    from the direct route (total_cos_t, a sphere search).
+    from the direct route (total_cos_t, eigenvalues of Hermitian pencils).
     rhs: min over complex lam of ||lam*T - I||^2 via the total center.
     """
     T = as_operator(T)

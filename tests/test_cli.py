@@ -264,6 +264,23 @@ def main_json(monkeypatch, capsys, *args):
     return code, json.loads(capsys.readouterr().out)
 
 
+@pytest.mark.parametrize(
+    "args", [["total-cos"], ["minmax", "--complex"]], ids=["total-cos", "minmax"]
+)
+def test_total_commands_ignore_seed_and_restarts(monkeypatch, capsys, args):
+    outputs = []
+    for seed, restarts in (("0", "32"), ("7", "1")):
+        code, doc = main_json(
+            monkeypatch, capsys, args[0], "--matrix", EX35, *args[1:],
+            "--seed", seed, "--restarts", restarts,
+        )
+        assert code == 0
+        assert doc["diagnostics"].pop("seed") == int(seed)
+        assert doc["diagnostics"].pop("restarts") == int(restarts)
+        outputs.append(cli.canonical_json(doc))
+    assert outputs[0] == outputs[1]
+
+
 def norm_of(path):
     with open(path) as fh:
         entries = np.asarray(json.load(fh)["entries"])

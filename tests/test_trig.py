@@ -26,14 +26,16 @@ from optrig import (
     trig_report,
 )
 from optrig import cli
+from optrig.trig import _total_cos_bounds
 
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
 dims = st.integers(min_value=2, max_value=4)
 FAST = SphereOptConfig(restarts=12)
 
 # Hermitian positive definite with eigenvalues 0.2715, 0.2769, 2.916, 3.562,
-# the two smallest nearly repeated. A seeded sphere search for its cosine
-# stopped 1.05e-5 above the closed form, which failed the route cross-check.
+# the two smallest nearly repeated. Seeded sphere searches for its cosine and
+# total cosine stopped 1.05e-5 above the closed form, which failed the route
+# cross-check.
 HPD_NEAR_REPEATED = np.array(
     [
         [
@@ -52,6 +54,16 @@ HPD_NEAR_REPEATED = np.array(
             (0.12312812888086462+0.2673335585392341j), (1.1912800878965752+0.15029180234688827j),
             (0.23857598136447783+0.25925686846371965j), (1.1359129155796868+0j),
         ],
+    ]
+)
+
+
+# Invertible 2x2 with 0 in its numerical range, so total cos = 0. A seeded
+# sphere search stalled at 1.41e-4 on the kink of |<Tx, x>| at its zero.
+NEAR_ZERO_TOTAL_COS = np.array(
+    [
+        [(0.12119599505874902+0.17128335646020432j), (-0.46876375954100624-0.5972789534705533j)],
+        [(1.5167839459181536+0.41726654416757963j), (0.7420483454740311+0.40181823535103933j)],
     ]
 )
 
@@ -109,10 +121,15 @@ def test_identity_has_cos_one():
 def test_cos_of_hermitian_positive_definite_matches_closed_form(T):
     c, _ = cos_t(T)
     assert c == pytest.approx(hpd_cos(T), abs=1e-12)
+    # a positive definite T has total cos T = cos T
+    tc, _ = total_cos_t(T)
+    assert tc == pytest.approx(hpd_cos(T), abs=1e-12)
 
 
 @pytest.mark.parametrize(
-    "args", [["cos"], ["sin"], ["minmax", "--verify"]], ids=["cos", "sin", "minmax"]
+    "args",
+    [["cos"], ["sin"], ["minmax", "--verify"], ["total-cos"], ["minmax", "--verify", "--complex"]],
+    ids=["cos", "sin", "minmax", "total-cos", "minmax-complex"],
 )
 def test_cli_accepts_near_repeated_hermitian_spectrum(tmp_path, monkeypatch, capsys, args):
     path = tmp_path / "hpd.json"
@@ -130,6 +147,79 @@ def test_cos_ignores_search_config(rng):
         c, x = cos_t(T, SphereOptConfig(seed=seed, restarts=restarts))
         assert c == c0
         assert np.array_equal(x, x0)
+
+
+def test_total_cos_ignores_search_config(rng):
+    for T in (accretive_matrix(rng, 4), gauss_matrix(rng, 2) + 3.0 * np.eye(2)):
+        c0, x0 = total_cos_t(T)
+        for seed, restarts in [(0, 1), (1, 12), (7, 32), (2**31 - 1, 5)]:
+            c, x = total_cos_t(T, SphereOptConfig(seed=seed, restarts=restarts))
+            assert c == c0
+            assert np.array_equal(x, x0)
+
+
+def two_by_two_suite():
+    rng = np.random.default_rng(2026)
+    thin = [
+        np.array([[1.0, b], [0.0, -1.0 + eps * 1j]])
+        for b in (0.01, 0.03, 0.05)
+        for eps in (0.1, 0.2)
+    ]
+    return (
+        [gauss_matrix(rng, 2) for _ in range(100)]
+        + [gauss_matrix(rng, 2) + 3.0 * np.eye(2) for _ in range(100)]
+        + thin
+        + [np.exp(1j * phi) * T for T in thin for phi in (0.3, 2.0, -2.5)]
+    )
+
+
+def test_total_cos_matches_center_route_on_two_by_two_suite():
+    # n = 2, where the max-over-angles identity rests on the ellipsoid argument
+    # of the total_cos_t docstring, and the thin W(T) whose positive arc of
+    # angles is narrow
+    for T in two_by_two_suite():
+        value, x = total_cos_t(T)
+        assert value == pytest.approx(total_cos_via_center(T)[0], abs=1e-10)
+        Tx = T @ x
+        assert abs(np.vdot(x, Tx)) / np.linalg.norm(Tx) == pytest.approx(value, abs=1e-15)
+        upper, lower, _ = _total_cos_bounds(T)
+        assert upper == value
+        if lower == 0.0:  # 0 lies in W(T)
+            assert upper <= 1e-12
+        else:
+            assert upper - lower <= 1e-12 * upper
+
+
+def test_total_cos_of_normal_operator_with_three_eigenvalues_on_the_optimal_face():
+    # At the optimal angle three eigenvectors share the bottom of the dual, so
+    # the witness must mix all three to zero the imaginary part. The exact value
+    # minimizes |sum p_i mu_i| / sqrt(sum p_i |mu_i|^2) over the simplex at
+    # p = (0.78025, 0.11779, 0.10196), solved to 40 digits. The lower bound
+    # sits on a kink of cos(e^{it} T) in t, so its gap closes only to ~4e-12.
+    T = np.diag([0.25026016 - 0.00409725j, 0.67569125 + 0.76453582j, 1.7404211 - 1.40365267j])
+    upper, lower, x = _total_cos_bounds(T)
+    assert upper == pytest.approx(0.5522288912087553, abs=1e-14)
+    assert upper - lower <= 1e-11 * upper
+    assert np.count_nonzero(np.abs(x) > 0.1) == 3
+
+
+def test_total_cos_near_zero_is_not_refused():
+    rep = total_trig_report(NEAR_ZERO_TOTAL_COS)
+    assert rep.total_cos_direct <= 1e-12
+    assert rep.total_cos_via_center == pytest.approx(0.0, abs=1e-10)
+
+
+def test_total_cos_of_singular_operator_is_zero_off_the_kernel():
+    m = gauss_matrix(np.random.default_rng(3), 3)
+    # rank 1 with T*k = 0 on the kernel, rank 1 nilpotent, rank 2
+    singular = (np.diag([1.0, 0.0]), np.array([[0.0, 1.0], [0.0, 0.0]]), m @ np.diag([1.0, 1.0, 0.0]) @ m)
+    for T in singular:
+        value, x = total_cos_t(T, allow_singular=True)
+        assert value == 0.0
+        assert np.linalg.norm(x) == pytest.approx(1.0)
+        Tx = T @ x
+        assert np.linalg.norm(Tx) > 1e-9
+        assert abs(np.vdot(x, Tx)) / np.linalg.norm(Tx) <= 1e-8
 
 
 @given(seeds, dims)
