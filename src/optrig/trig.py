@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .center_of_mass import (
+    RealCenterResult,
     _real_form_witness,
     _total_form_witness,
     real_center_of_mass,
@@ -88,6 +89,13 @@ def _invertible_or_raise(T: np.ndarray) -> float:
             f"operator is numerically singular: sigma_min {smin:.6e}"
         )
     return smin
+
+
+def _identity_center(T: np.ndarray) -> RealCenterResult:
+    """Real center of mass of I relative to accretive T, where it is positive."""
+    rc = real_center_of_mass(np.eye(T.shape[0]), T)
+    assert rc.epsilon0 > 0.0, "accretive operator produced a nonpositive scale"
+    return rc
 
 
 def _cos_ratio(T: np.ndarray, x: np.ndarray) -> float:
@@ -315,8 +323,7 @@ def sin_t(T) -> tuple[float, float]:
     """
     T = as_operator(T)
     _accretive_or_raise(T)
-    rc = real_center_of_mass(np.eye(T.shape[0]), T)
-    assert rc.epsilon0 > 0.0, "accretive operator produced a nonpositive scale"
+    rc = _identity_center(T)
     return rc.residual, rc.epsilon0
 
 
@@ -358,9 +365,7 @@ def minmax_check_real(T, cfg: SphereOptConfig | None = None) -> tuple[float, flo
     """
     T = as_operator(T)
     lhs = 1.0 - cos_t(T, cfg)[0] ** 2
-    rc = real_center_of_mass(np.eye(T.shape[0]), T)
-    assert rc.epsilon0 > 0.0, "accretive operator produced a nonpositive scale"
-    return lhs, rc.residual**2
+    return lhs, _identity_center(T).residual**2
 
 
 def minmax_check_complex(T, cfg: SphereOptConfig | None = None) -> tuple[float, float]:
@@ -386,7 +391,7 @@ def cos_via_center(T) -> tuple[float, np.ndarray]:
     """
     T = as_operator(T)
     _accretive_or_raise(T)
-    rc = real_center_of_mass(np.eye(T.shape[0]), T)
+    rc = _identity_center(T)
     return _cos_ratio(T, rc.witness), rc.witness
 
 
@@ -405,8 +410,7 @@ def trig_report(
     T = as_operator(T)
     _accretive_or_raise(T)
     direct, vec = cos_t(T, cfg)
-    rc = real_center_of_mass(np.eye(T.shape[0]), T)
-    assert rc.epsilon0 > 0.0, "accretive operator produced a nonpositive scale"
+    rc = _identity_center(T)
     via = _cos_ratio(T, rc.witness)
     sin_value = rc.residual
     if abs(direct - via) > cross_tol:

@@ -38,6 +38,12 @@ def unitary_matrix(rng: np.random.Generator, n: int) -> np.ndarray:
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
 
 
+def hpd_matrix(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Hermitian positive definite U diag(lam) U* with lam uniform in [0.1, 5]."""
+    U = unitary_matrix(rng, n)
+    return U @ np.diag(rng.uniform(0.1, 5.0, n)) @ U.conj().T
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20240817)

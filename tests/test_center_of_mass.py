@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import gauss_matrix, invertible_matrix, unitary_matrix
+from conftest import (
+    accretive_matrix,
+    gauss_matrix,
+    hpd_matrix,
+    invertible_matrix,
+    unitary_matrix,
+)
 from optrig import (
     SphereOptConfig,
     WitnessNotFound,
@@ -23,7 +29,7 @@ from optrig import (
     total_pairing_min,
     total_trig_report,
 )
-from optrig.center_of_mass import _total_form_witness
+from optrig.center_of_mass import _golden_min, _total_form_witness
 
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
 dims = st.integers(min_value=1, max_value=4)
@@ -332,3 +338,161 @@ def test_total_witnesses_do_not_depend_on_the_seed(monkeypatch):
         return value, x.tobytes(), verdict.pairing_min, verdict.witness.tobytes(), witness.tobytes()
 
     assert results(0) == results(1)
+
+
+# --- the total center against the nested golden-section search ---------------
+
+
+def _bracket_min(f, x, step, lo, hi):
+    """Interval within [lo, hi] holding a minimizer of a convex f, grown downhill from x."""
+    fx = f(x)
+    left, right = max(lo, x - step), min(hi, x + step)
+    fl, fr = f(left), f(right)
+    while fl < fx and left > lo:
+        right, fr, x, fx = x, fx, left, fl
+        step *= 2.0
+        left = max(lo, x - step)
+        fl = f(left)
+    while fr < fx and right < hi:
+        left, fl, x, fx = x, fx, right, fr
+        step *= 2.0
+        right = min(hi, x + step)
+        fr = f(right)
+    return left, right
+
+
+def nested_reference(T, A):
+    """Minimum of ||T - lam*A|| by nested golden-section search, the total
+    center's search before cutting planes: the outer search runs over Re lam,
+    the inner one, warm-started from the previous inner minimizer, over Im lam.
+    A partial minimum of a convex map is convex, so the search is exact for
+    kinks and flat minimizer sets, at about 3,200 SVDs a call."""
+    radius = 2.0 * operator_norm(T) / operator_norm(A)
+    width = 1e-12 * max(1.0, radius)
+    prev, best = [0.0, 0.0], [np.inf, 0.0, 0.0]
+
+    def min_over_im(re):
+        def h(im):
+            return residual_at(T, A, complex(re, im))
+
+        lo, hi = _bracket_min(h, prev[0], max(prev[1], width), -radius, radius)
+        im, value = _golden_min(h, lo, hi, 1e-15 * max(1.0, radius))
+        prev[:] = im, abs(im - prev[0])
+        if value < best[0]:
+            best[:] = value, re, im
+        return value
+
+    _golden_min(min_over_im, -radius, radius, width)
+    return best[0]
+
+
+def orthogonal_pair(rng, n):
+    # T = U diag(sigma) V* with sigma_1 simple and A = U M V*, M[0, 0] = 0:
+    # the top right singular vector of T pairs to 0, so lam = 0 is a center
+    sigma = np.concatenate([[1.5], np.sort(rng.uniform(0.1, 1.0, n - 1))[::-1]])
+    U, V = unitary_matrix(rng, n), unitary_matrix(rng, n)
+    M = gauss_matrix(rng, n)
+    M[0, 0] = 0.0
+    return (U * sigma) @ V.conj().T, U @ M @ V.conj().T
+
+
+def thin_pairs():
+    # I relative to [[1, b], [0, -1 + eps i]] and its rotations: W(T) is a
+    # thin ellipse across 0
+    thin = [
+        np.array([[1.0, b], [0.0, -1.0 + eps * 1j]]) for b in (0.01, 0.03, 0.05) for eps in (0.1, 0.2)
+    ]
+    return [(np.eye(2), np.exp(1j * phi) * T) for T in thin for phi in (0.0, 0.3, 2.0, -2.5)]
+
+
+def center_suite(n):
+    rng = np.random.default_rng(1965 + n)
+    pairs = []
+    for _ in range(3):
+        T = gauss_matrix(rng, n)
+        pairs += [
+            (T, gauss_matrix(rng, n)),
+            (np.eye(n), accretive_matrix(rng, n)),
+            (np.eye(n), invertible_matrix(rng, n)),
+            (np.eye(n), hpd_matrix(rng, n)),
+            orthogonal_pair(rng, n),
+            (T, T),
+        ]
+    return pairs + (thin_pairs() if n == 2 else [])
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 8])
+def test_total_center_is_no_worse_than_the_nested_reference(n):
+    for T, A in center_suite(n):
+        tc = total_center_of_mass(T, A)
+        ref = nested_reference(T, A)
+        assert tc.residual <= ref + 1e-14 * max(1.0, ref)
+        assert tc.residual <= operator_norm(T) * (1.0 + 1e-12)
+        assert tc.residual == pytest.approx(residual_at(T, A, tc.lambda0), rel=1e-14, abs=1e-15)
+
+
+def counting_svd(monkeypatch):
+    calls = [0]
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    return calls
+
+
+def test_total_center_stops_on_a_zero_subgradient(monkeypatch):
+    # ||diag(1, -lam)|| = max(1, |lam|): the first centroid, 0, is a minimizer
+    # with top singular pair e1, e1, and u*Av = 0 there; its cut removes
+    # nothing, and a loop that went on would repeat that centroid to the cap
+    calls = counting_svd(monkeypatch)
+    tc = total_center_of_mass(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
+    assert tc.lambda0 == 0.0
+    assert tc.residual == 1.0
+    assert not tc.unique
+    assert calls[0] <= 10
+
+
+def test_total_center_svd_budget(monkeypatch):
+    rng = np.random.default_rng(4)
+    T, A = gauss_matrix(rng, 4), gauss_matrix(rng, 4)
+    calls = counting_svd(monkeypatch)
+    total_center_of_mass(T, A)
+    assert calls[0] <= 150
+
+
+SCALES = [1e-8, 1.0, 1e8]
+
+
+@pytest.mark.parametrize("t", SCALES)
+@pytest.mark.parametrize("s", SCALES)
+def test_total_center_is_scale_equivariant(s, t):
+    B = np.random.default_rng(5).standard_normal((3, 3))
+    A = np.random.default_rng(6).standard_normal((3, 3))
+    base = total_center_of_mass(B, A).lambda0
+    assert total_center_of_mass(s * B, t * A).lambda0 * t / s == pytest.approx(base, rel=1e-12)
+
+
+# (1 + i) G + 2I, G the standard normal 3x3 of default_rng(3), and a Ginibre
+# matrix of default_rng(3) plus 2I: scaled by 1e8, with an absolute floor in
+# the search width, their centers missed the witness tolerance
+G3 = np.array(
+    [
+        [2.04091912, -2.55566503, 0.41809885],
+        [-0.56776961, -0.45264929, -0.21559716],
+        [-2.01998613, -0.23193238, -0.86521308],
+    ]
+)
+
+
+@pytest.mark.parametrize(
+    "T",
+    [(1.0 + 1.0j) * G3 + 2.0 * np.eye(3), gauss_matrix(np.random.default_rng(3), 3) + 2.0 * np.eye(3)],
+    ids=["real-G", "ginibre"],
+)
+def test_total_trig_report_of_a_large_operator(T):
+    rep, ref = total_trig_report(1e8 * T), total_trig_report(T)
+    assert rep.total_cos_via_center == pytest.approx(ref.total_cos_via_center, abs=1e-10)
+    assert abs(rep.lambda0 * 1e8 - ref.lambda0) <= 1e-12  # |ref.lambda0| < 1

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import accretive_matrix, gauss_matrix, unitary_matrix
+from conftest import accretive_matrix, gauss_matrix, hpd_matrix, unitary_matrix
 from optrig import (
     NotAccretive,
     RouteDisagreement,
@@ -75,11 +75,6 @@ def kantorovich_cos(m, M):
 def hpd_cos(T):
     lam = np.linalg.eigvalsh(T)
     return kantorovich_cos(lam[0], lam[-1])
-
-
-def hpd_matrix(rng, n):
-    U = unitary_matrix(rng, n)
-    return U @ np.diag(rng.uniform(0.1, 5.0, n)) @ U.conj().T
 
 
 @pytest.mark.parametrize("m,M", [(1.0, 4.0), (0.5, 2.0), (1.0, 9.0)])
