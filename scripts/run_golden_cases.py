@@ -1,4 +1,4 @@
-"""Print the three worked reference cases next to their closed forms.
+"""Print the four worked reference cases next to their closed forms.
 
 Usage: python3 scripts/run_golden_cases.py
 """
@@ -55,6 +55,14 @@ def main() -> int:
     lo, hi = rc.flat_interval
     print(f"  flat interval               [{lo:+.6f}, {hi:+.6f}]   expected to cover [-0.99, 0.99]")
     print(f"  unique flag                 {rc.unique}   certified: {center_uniqueness(Ad)}")
+
+    print("case 4: real centers at a kink, at unit scale and at scale 1e-8")
+    rc = real_center_of_mass(np.eye(2), np.diag([1.0, 4.0]))  # max(|1 - eps|, |1 - 4 eps|)
+    row("I rel diag(1, 4): epsilon0", rc.epsilon0, 0.4)
+    row("I rel diag(1, 4): residual", rc.residual, 0.6)
+    rc = real_center_of_mass(1e-8 * np.diag([1.0, 2.0, 7.0]), np.eye(3))
+    row("1e-8 diag(1,2,7): eps0/1e-8", rc.epsilon0 / 1e-8, 4.0)
+    row("1e-8 diag(1,2,7): res/1e-8", rc.residual / 1e-8, 3.0)
     return 0
 
 

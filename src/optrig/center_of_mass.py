@@ -5,8 +5,9 @@ eps -> ||T - eps*A||; the total center is a complex minimizer of
 lam -> ||T - lam*A||. Any minimizer lies in the closed interval (disk)
 of radius 2||T||/||A||, which bounds every search here.
 
-Both maps are convex. The real center is found by golden-section search.
-The total center is found by the centre-of-gravity method (Levin 1965;
+Both maps are convex. The real center is found by bisection on the sign of
+the subgradient -Re u*Av, (u, v) a top singular pair of T - eps*A. The total
+center is found by the centre-of-gravity method (Levin 1965;
 Newman 1965): a polygon holding every minimizer, starting as the square
 around that disk, is cut through its centroid by the half-plane that one
 top singular pair of T - lam*A certifies. Each cut removes at least 4/9 of
@@ -14,7 +15,9 @@ the area (Grunbaum 1960) and no minimizer. The search compares no function
 values and uses no seeds, and is exact for kinks and flat minimizer sets.
 
 flat_interval approximates the exact minimizer set: the sub-level set of
-the residual plus a machine-noise-aware slack (never more than tol).
+the residual plus a slack of 1e-14 ||T|| (never more than tol ||T||), which
+sits above the rounding of the norms. Every threshold is relative to ||T||
+or to the search radius, so the results scale with T -> sT, A -> tA.
 
 Witnesses come, with no seeds, from eigenvectors of the Hermitian parts of
 the pairing form K on the maximizing subspace of T - c*A (total: of e^{it} K).
@@ -22,6 +25,7 @@ the pairing form K on the maximizing subspace of T - c*A (total: of e^{it} K).
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -38,9 +42,10 @@ from .linalg import (
     sigma_min,
 )
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-_FLAT_SLACK = 1e-14
-_UNIQUE_RADIUS = 1e-4
+_FLAT_SLACK = 1e-14  # value slack of the flat minimizer set, relative to ||T||
+_UNIQUE_RADIUS = 1e-4  # relative to the search radius
+# relative gap between an upper and a lower bound that ends an angle walk
+_CERTIFICATE = 1e-12
 _SCAN = 16  # angles of the numerical-range scan of the total witness
 _CUTS = 400  # cap on the cutting-plane steps of the total center
 
@@ -62,37 +67,40 @@ class TotalCenterResult:
     witness: np.ndarray
 
 
-def _golden_min(f, a: float, b: float, width: float) -> tuple[float, float]:
-    """Minimum of a convex scalar function on [a, b] to the given bracket width."""
-    best_x, best_v = a, f(a)
-    fb = f(b)
-    if fb < best_v:
-        best_x, best_v = b, fb
+def _regula_falsi(f, lo: float, hi: float, f_lo: float, f_hi: float, first: float) -> None:
+    """Shrink a bracket [lo, hi] of the sign change of a nondecreasing f.
 
-    def note(x, v):
-        nonlocal best_x, best_v
-        if v < best_v:
-            best_x, best_v = x, v
-
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = f(c), f(d)
-    note(c, fc)
-    note(d, fd)
-    for _ in range(300):
-        if b - a <= width:
-            break
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = f(c)
-            note(c, fc)
+    Each step is regula falsi with the Illinois halving of the end value that
+    stays twice in a row, and a bisection whenever two steps did not halve the
+    bracket or an end value is infinite (an infinite value carries only a
+    sign). The first probe is `first`. It stops when f returns None or the
+    bracket holds no float between its ends. Two callers walk an angle with
+    it: the total-cosine search and the off-range branch of
+    _total_form_witness; each ends its walk through f on its own certificate.
+    """
+    widths, side, x = [math.inf, math.inf], 0, first
+    while True:
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
+            if not lo < x < hi:
+                return
+        fx = f(x)
+        if fx is None:
+            return
+        widths = [widths[1], hi - lo]
+        if fx < 0.0:
+            lo, f_lo = x, fx
+            if side < 0:
+                f_hi *= 0.5
+            side = -1
         else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = f(d)
-            note(d, fd)
-    return best_x, best_v
+            hi, f_hi = x, fx
+            if side > 0:
+                f_lo *= 0.5
+            side = 1
+        x = 0.5 * (lo + hi)
+        if math.isfinite(f_lo - f_hi) and hi - lo <= 0.5 * widths[0]:
+            x = lo + (hi - lo) * f_lo / (f_lo - f_hi)
 
 
 def _clip(P: list, a: tuple[float, float], c: tuple[float, float]) -> list:
@@ -127,34 +135,23 @@ def _centroid(P: list) -> tuple[float, float]:
     return x0 + cx / (3.0 * area), y0 + cy / (3.0 * area)
 
 
-def _sublevel_edge(f, inside: float, outside: float, level: float) -> float:
-    """Bisect for the boundary of {x : f(x) <= level} between a point in and a point out."""
-    res = 1e-14 * max(1.0, abs(inside), abs(outside))
-    for _ in range(100):
-        if abs(outside - inside) <= res:
+def _march_edge(f, inside: float, bound: float, step: float, level: float, res: float) -> float:
+    """Outermost point of the sub-level set {f <= level} of a convex f: march
+    from a point inside toward bound by step, then bisect the last step to res."""
+    while True:
+        outside = min(inside + step, bound) if step > 0 else max(inside + step, bound)
+        if f(outside) > level:
             break
+        if outside == bound:
+            return bound
+        inside = outside
+    while abs(outside - inside) > res:
         mid = 0.5 * (inside + outside)
         if f(mid) <= level:
             inside = mid
         else:
             outside = mid
     return inside
-
-
-def _march_edge(f, start: float, bound: float, step: float, level: float) -> float:
-    """Outermost point of the sub-level set, marching from start toward bound."""
-    inside = start
-    while True:
-        nxt = inside + step
-        past_bound = nxt >= bound if step > 0 else nxt <= bound
-        if past_bound:
-            if f(bound) <= level:
-                return bound
-            return _sublevel_edge(f, inside, bound, level)
-        if f(nxt) <= level:
-            inside = nxt
-        else:
-            return _sublevel_edge(f, inside, nxt, level)
 
 
 def _basis_vector(n: int) -> np.ndarray:
@@ -166,10 +163,12 @@ def _basis_vector(n: int) -> np.ndarray:
 def real_center_of_mass(T, A, tol: float = 1e-9) -> RealCenterResult:
     """Real scalar minimizing ||T - eps*A||, with minimizer-set detection.
 
-    epsilon0 is the midpoint of the detected flat interval (for a unique
-    minimizer the interval is pointlike and this is just the minimizer).
-    tol caps the value slack used for flat detection; the default slack is
-    much tighter so the interval tracks the exact minimizer set.
+    The flat interval is marched out on values from the bisection point, a
+    minimizer to an ulp of the radius. epsilon0 is that point when the
+    interval is within the unique radius (rounding decides where the edges
+    of a smooth minimum cross the slack level), and its midpoint otherwise.
+    tol caps the value slack, relative to ||T||; the default slack is much
+    tighter so the interval tracks the exact minimizer set.
     """
     T, A = as_operator_pair(T, A)
     na = operator_norm(A)
@@ -190,13 +189,23 @@ def real_center_of_mass(T, A, tol: float = 1e-9) -> RealCenterResult:
     def f(eps: float) -> float:
         return float(np.linalg.svd(T - eps * A, compute_uv=False)[0])
 
-    x0, residual = _golden_min(f, -radius, radius, width=1e-12 * max(1.0, radius))
-    level = residual + min(tol, _FLAT_SLACK * max(1.0, residual))
-    spacing = radius / 1000.0
-    lo = _march_edge(f, x0, -radius, -spacing, level)
-    hi = _march_edge(f, x0, radius, spacing, level)
-    epsilon0 = 0.5 * (lo + hi)
-    unique = (hi - lo) <= 2.0 * _UNIQUE_RADIUS * max(1.0, radius)
+    # bisection on the sign of the subgradient -Re u*Av of f at a top singular
+    # pair (u, v) of T - eps*A, down to a zero subgradient or residual or an ulp
+    lo, hi = -radius, radius
+    while True:
+        x0 = 0.5 * (lo + hi)
+        u, s, vh = np.linalg.svd(T - x0 * A)
+        g = -np.vdot(u[:, 0], A @ vh[0].conj()).real
+        if g == 0.0 or s[0] == 0.0 or hi - lo <= 2.0**-52 * radius:
+            break
+        lo, hi = (lo, x0) if g > 0.0 else (x0, hi)
+    residual = float(s[0])
+    level = residual + min(tol, _FLAT_SLACK) * nt
+    spacing, res = radius / 1000.0, 1e-14 * radius
+    lo = _march_edge(f, x0, -radius, -spacing, level, res)
+    hi = _march_edge(f, x0, radius, spacing, level, res)
+    unique = (hi - lo) <= 2.0 * _UNIQUE_RADIUS * radius
+    epsilon0 = x0 if unique else 0.5 * (lo + hi)
     witness = extract_witness(T, A, epsilon0, total=False)
     return RealCenterResult(
         epsilon0=epsilon0,
@@ -235,11 +244,10 @@ def total_center_of_mass(T, A, tol: float = 1e-9) -> TotalCenterResult:
         P = cut
     lambda0, residual = complex(*c), float(s[0])
 
-    probe_r = _UNIQUE_RADIUS * max(1.0, radius)
     angles = np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False)
-    ring = lambda0 + probe_r * np.exp(1j * angles)
+    ring = lambda0 + _UNIQUE_RADIUS * radius * np.exp(1j * angles)
     ring_vals = operator_norms(T - ring[:, None, None] * A)
-    level = residual + min(tol, _FLAT_SLACK * max(1.0, residual))
+    level = residual + min(tol, _FLAT_SLACK) * nt
     unique = not bool(np.any(ring_vals <= level))
 
     witness = extract_witness(T, A, lambda0, total=True)
@@ -285,9 +293,12 @@ def _total_form_witness(K: np.ndarray) -> tuple[np.ndarray, float]:
     it (to 0 for k = 2 if 0 is in W(K)). Chords are taken at 16 angles, then
     c(t) = -c(t + pi) is bisected to a chord holding 0. Failing that, 0 may
     lie outside W(K): lambda_min(M(t)), unimodal near its maximum, is
-    maximized; its bottom eigenvectors there and the chord on the line to the
-    nearest point (for thin W(K), where they swing with t) compete. For k > 2
-    two final vectors of a search are joined by solving K on their span.
+    maximized by _regula_falsi on the sign of its slope, from the best scan
+    angle, until it meets the least |x*Kx| of the bottom eigenvectors x to a
+    relative 1e-12. Short of that (a kink, or a thin W(K) whose bottom
+    eigenvectors swing with t), the chord on the line to the nearest point
+    competes with them. For k > 2 two final vectors of a search (the bracket
+    ends of a walk) are joined by solving K on their span.
     """
     k = K.shape[0]
     if k == 1:
@@ -345,12 +356,34 @@ def _total_form_witness(K: np.ndarray) -> tuple[np.ndarray, float]:
         if not hit and k > 2:
             found.append(joined(ends[True][1][0], ends[False][1][0]))
     if not hit:
-        t, _ = _golden_min(lambda t: -float(eig(t)[0][0]), top[1] - step, top[1] + step, 1e-14)
-        bottoms = [eig(t + dt)[1][:, 0] for dt in (-1e-13, 0.0, 1e-13)]  # astride t
-        ch = chord(t + 0.5 * math.pi, *eig(t + 0.5 * math.pi))
-        found += bottoms + ([ch[0]] if ch else [])
-        if k > 2:
-            found.append(joined(bottoms[0], bottoms[2]))
+        # lambda_min(M(t)) <= dist(0, W(K)) <= |x*Kx| for a bottom eigenvector x of
+        # M(t), and lambda_min(M(t)) has slope -h(t), h(t) = x*N(t)x, so the walk
+        # brackets the maximum on the sign of h until the two bounds agree
+        ends, upper = {}, math.inf
+
+        def certified():
+            return upper - top[0] <= _CERTIFICATE * upper
+
+        def slope(t):
+            nonlocal top, upper
+            lam, vec = eig(t)
+            x = vec[:, 0]
+            z = cmath.exp(1j * t) * complex(np.vdot(x, K @ x))
+            found.append(x)
+            top, upper = max(top, (float(lam[0]), t)), min(upper, abs(z))
+            ends[z.imag >= 0.0] = (t, x)
+            width = ends[True][0] - ends[False][0] if len(ends) == 2 else math.inf
+            return None if certified() or width <= 2.0**-52 * math.pi else z.imag
+
+        _regula_falsi(slope, top[1] - step, top[1] + step, -math.inf, math.inf, top[1])
+        if not certified():
+            # a kink of lambda_min (its eigenvalue is multiple at the maximum), or a
+            # thin W(K) whose bottom eigenvectors swing with t: the bracket ends
+            # meet on their span, and the chord runs on the line to the nearest point
+            ch = chord(top[1] + 0.5 * math.pi, *eig(top[1] + 0.5 * math.pi))
+            found += [ch[0]] if ch else []
+            if k > 2 and len(ends) == 2:
+                found.append(joined(ends[False][1], ends[True][1]))
     values = [abs(complex(np.vdot(y, K @ y))) for y in found]
     best = int(np.argmin(values))
     return found[best], values[best]

@@ -26,8 +26,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .center_of_mass import (
+    _CERTIFICATE,
     RealCenterResult,
     _real_form_witness,
+    _regula_falsi,
     _total_form_witness,
     real_center_of_mass,
     total_center_of_mass,
@@ -48,8 +50,6 @@ _IMAGE_GUARD = 1e-12
 # eigenvalues of Re T - a T*T this close to the bottom, relative to its
 # largest, count as the bottom cluster of the cosine dual
 _CLUSTER = 1e-10
-# relative gap between the upper and lower bound that ends the total-cos search
-_CERTIFICATE = 1e-12
 
 
 @dataclass(frozen=True)
@@ -129,40 +129,6 @@ def _cos_dual(H: np.ndarray, G: np.ndarray, hi: float):
         return None
     w, V = bottom
     return lo, float(w[0]), V[:, w <= w[0] + _CLUSTER * w[-1]]
-
-
-def _regula_falsi(f, lo: float, hi: float, f_lo: float, f_hi: float, first: float) -> None:
-    """Shrink a bracket [lo, hi] of the sign change of a nondecreasing f.
-
-    Each step is regula falsi with the Illinois halving of the end value that
-    stays twice in a row, and a bisection whenever two steps did not halve the
-    bracket or an end value is infinite (an infinite value carries only a
-    sign). The first probe is `first`. It stops when f returns None or the
-    bracket holds no float between its ends.
-    """
-    widths, side, x = [math.inf, math.inf], 0, first
-    while True:
-        if not lo < x < hi:
-            x = 0.5 * (lo + hi)
-            if not lo < x < hi:
-                return
-        fx = f(x)
-        if fx is None:
-            return
-        widths = [widths[1], hi - lo]
-        if fx < 0.0:
-            lo, f_lo = x, fx
-            if side < 0:
-                f_hi *= 0.5
-            side = -1
-        else:
-            hi, f_hi = x, fx
-            if side > 0:
-                f_lo *= 0.5
-            side = 1
-        x = 0.5 * (lo + hi)
-        if math.isfinite(f_lo - f_hi) and hi - lo <= 0.5 * widths[0]:
-            x = lo + (hi - lo) * f_lo / (f_lo - f_hi)
 
 
 def _singular_witness(T: np.ndarray) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Tests for the scalar centers of mass of one operator relative to another."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -21,15 +22,17 @@ from optrig import (
     block_vdot,
     center_uniqueness,
     extract_witness,
+    is_real_orthogonal,
     is_total_orthogonal,
     operator_norm,
     real_center_of_mass,
     sphere_refine_min,
     total_center_of_mass,
+    total_cos_t,
     total_pairing_min,
     total_trig_report,
 )
-from optrig.center_of_mass import _golden_min, _total_form_witness
+from optrig.center_of_mass import _total_form_witness
 
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
 dims = st.integers(min_value=1, max_value=4)
@@ -343,6 +346,41 @@ def test_total_witnesses_do_not_depend_on_the_seed(monkeypatch):
 # --- the total center against the nested golden-section search ---------------
 
 
+def _golden_min(f, a, b, width):
+    """Minimum of a convex scalar function on [a, b] to the given bracket width,
+    by golden-section search."""
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    best_x, best_v = a, f(a)
+    fb = f(b)
+    if fb < best_v:
+        best_x, best_v = b, fb
+
+    def note(x, v):
+        nonlocal best_x, best_v
+        if v < best_v:
+            best_x, best_v = x, v
+
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = f(c), f(d)
+    note(c, fc)
+    note(d, fd)
+    for _ in range(300):
+        if b - a <= width:
+            break
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = f(c)
+            note(c, fc)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = f(d)
+            note(d, fd)
+    return best_x, best_v
+
+
 def _bracket_min(f, x, step, lo, hi):
     """Interval within [lo, hi] holding a minimizer of a convex f, grown downhill from x."""
     fx = f(x)
@@ -431,15 +469,15 @@ def test_total_center_is_no_worse_than_the_nested_reference(n):
         assert tc.residual == pytest.approx(residual_at(T, A, tc.lambda0), rel=1e-14, abs=1e-15)
 
 
-def counting_svd(monkeypatch):
+def counting(monkeypatch, name="svd"):
     calls = [0]
-    svd = np.linalg.svd
+    func = getattr(np.linalg, name)
 
     def counted(*args, **kwargs):
         calls[0] += 1
-        return svd(*args, **kwargs)
+        return func(*args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "svd", counted)
+    monkeypatch.setattr(np.linalg, name, counted)
     return calls
 
 
@@ -447,7 +485,7 @@ def test_total_center_stops_on_a_zero_subgradient(monkeypatch):
     # ||diag(1, -lam)|| = max(1, |lam|): the first centroid, 0, is a minimizer
     # with top singular pair e1, e1, and u*Av = 0 there; its cut removes
     # nothing, and a loop that went on would repeat that centroid to the cap
-    calls = counting_svd(monkeypatch)
+    calls = counting(monkeypatch)
     tc = total_center_of_mass(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
     assert tc.lambda0 == 0.0
     assert tc.residual == 1.0
@@ -458,21 +496,68 @@ def test_total_center_stops_on_a_zero_subgradient(monkeypatch):
 def test_total_center_svd_budget(monkeypatch):
     rng = np.random.default_rng(4)
     T, A = gauss_matrix(rng, 4), gauss_matrix(rng, 4)
-    calls = counting_svd(monkeypatch)
+    calls = counting(monkeypatch)
     total_center_of_mass(T, A)
     assert calls[0] <= 150
 
 
+def test_real_center_svd_budget(monkeypatch):
+    # bisection on the subgradient sign to an ulp of the radius, then the march;
+    # the golden-section search took 147 SVDs on the Ginibre pair and 145 on
+    # the orthogonal one
+    rng = np.random.default_rng(4)
+    pairs = [(gauss_matrix(rng, 4), gauss_matrix(rng, 4)), orthogonal_pair(np.random.default_rng(7), 4)]
+    for (T, A), parent in zip(pairs, (147, 145)):
+        calls = counting(monkeypatch)
+        real_center_of_mass(T, A)
+        assert calls[0] < parent
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("n", [4, 16, 64])
+def test_total_form_witness_eigh_budget_off_the_range(monkeypatch, n):
+    # HPD K: W(K) is the segment of its eigenvalues, 0 lies outside it and the
+    # nearest point is the bottom eigenvalue, at the scan angle 0
+    K = hpd_matrix(np.random.default_rng(n), n)
+    calls = counting(monkeypatch, "eigh")
+    _, value = _total_form_witness(K)
+    assert calls[0] <= 20
+    assert value == pytest.approx(np.linalg.eigvalsh(K)[0], rel=1e-12)
+
+
+def test_total_cos_eigh_budget_on_hpd_input(monkeypatch):
+    T = hpd_matrix(np.random.default_rng(16), 16)
+    calls = counting(monkeypatch, "eigh")
+    total_cos_t(T)
+    assert calls[0] <= 100
+
+
 SCALES = [1e-8, 1.0, 1e8]
+# B and A of the scale tests
+PAIR = np.random.default_rng(5).standard_normal((3, 3)), np.random.default_rng(6).standard_normal((3, 3))
+
+
+@pytest.mark.parametrize("t", SCALES)
+@pytest.mark.parametrize("s", SCALES)
+def test_real_center_is_scale_equivariant(s, t):
+    B, A = PAIR
+    base, rc = real_center_of_mass(B, A), real_center_of_mass(s * B, t * A)
+    assert rc.epsilon0 * t / s == pytest.approx(base.epsilon0, rel=1e-12)
+    # the edges sit where rounding of the norms crosses the slack level, a
+    # relative 1e-14 above the minimum: on this smooth minimum that moves them
+    # by a relative ~1e-8
+    assert np.array(rc.flat_interval) * t / s == pytest.approx(base.flat_interval, rel=1e-7)
+    assert rc.unique and base.unique
+    assert is_real_orthogonal(s * B, t * A).orthogonal == is_real_orthogonal(B, A).orthogonal
 
 
 @pytest.mark.parametrize("t", SCALES)
 @pytest.mark.parametrize("s", SCALES)
 def test_total_center_is_scale_equivariant(s, t):
-    B = np.random.default_rng(5).standard_normal((3, 3))
-    A = np.random.default_rng(6).standard_normal((3, 3))
-    base = total_center_of_mass(B, A).lambda0
-    assert total_center_of_mass(s * B, t * A).lambda0 * t / s == pytest.approx(base, rel=1e-12)
+    B, A = PAIR
+    base, tc = total_center_of_mass(B, A), total_center_of_mass(s * B, t * A)
+    assert tc.lambda0 * t / s == pytest.approx(base.lambda0, rel=1e-12)
+    assert tc.unique and base.unique
 
 
 # (1 + i) G + 2I, G the standard normal 3x3 of default_rng(3), and a Ginibre

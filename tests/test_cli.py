@@ -251,8 +251,11 @@ def test_dimension_mismatch_exits_two(tmp_path):
     assert json.loads(proc.stdout)["error"]["type"] == "DimensionMismatch"
 
 
-def test_forced_cross_check_failure_exits_three():
-    proc = run_cli("minmax", "--matrix", EX35, "--tol", "1e-18")
+def test_forced_cross_check_failure_exits_three(tmp_path):
+    # a non-normal input: on a diagonal one the two routes can agree to the bit
+    upper = tmp_path / "upper.json"
+    upper.write_text(json.dumps({"n": 2, "entries": [[[2.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [3.0, 0.0]]]}))
+    proc = run_cli("minmax", "--matrix", str(upper), "--tol", "1e-18")
     assert proc.returncode == 3
     assert json.loads(proc.stdout)["error"]["type"] == "RouteDisagreement"
 

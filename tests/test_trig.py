@@ -348,5 +348,6 @@ def test_reports_bundle_consistent_quantities():
 
 
 def test_report_cross_check_can_be_forced_to_fail():
+    # a non-normal input: on a diagonal one the two routes can agree to the bit
     with pytest.raises(RouteDisagreement):
-        trig_report(np.diag([1.0, 4.0]), cross_tol=1e-18)
+        trig_report(np.array([[2.0, 1.0], [0.0, 3.0]]), cross_tol=1e-18)
