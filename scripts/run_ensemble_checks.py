@@ -7,6 +7,12 @@ Checks, per matrix or pair:
   - sin^2 + cos^2 = 1 and total_cos >= cos on accretive matrices
   - both orthogonality decision routes agree, and the center shifts
     T - eps0*A, T - lambda0*A are orthogonal to A
+  - near the real verdict boundary, how often the two routes of
+    is_real_orthogonal disagree: 40 orthogonal pairs (T, A), each with A
+    moved to A + f 1e-6 ||A|| T/||T|| for 60 values of f in [0.2, 3], which
+    turns the verdict near f = 1 at the default tol 1e-6. The two thresholds
+    match only to first order, so some disagreements are expected there; the
+    count is printed, not asserted.
 
 Usage: python3 scripts/run_ensemble_checks.py [--count N] [--pairs N] [--seed S]
 """
@@ -17,6 +23,7 @@ import time
 import numpy as np
 
 from optrig import (
+    RouteDisagreement,
     cos_t,
     hermitian_min_eig,
     is_real_orthogonal,
@@ -45,6 +52,21 @@ def accretive(rng: np.random.Generator, n: int) -> np.ndarray:
 def invertible(rng: np.random.Generator, n: int) -> np.ndarray:
     u, s, vh = np.linalg.svd(gauss(rng, n))
     return u @ np.diag(np.clip(s, 0.1, None)) @ vh
+
+
+def unitary(rng: np.random.Generator, n: int) -> np.ndarray:
+    q, r = np.linalg.qr(gauss(rng, n))
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+def orthogonal_pair(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """T = U diag(sigma) V* with sigma_1 simple, and A = U M V* with M[0, 0] = 0:
+    the top right singular vector of T pairs to 0, so T is orthogonal to A."""
+    sigma = np.concatenate([[1.5], np.sort(rng.uniform(0.1, 1.0, n - 1))[::-1]])
+    U, V = unitary(rng, n), unitary(rng, n)
+    M = gauss(rng, n)
+    M[0, 0] = 0.0
+    return (U * sigma) @ V.conj().T, U @ M @ V.conj().T
 
 
 def main() -> int:
@@ -90,6 +112,19 @@ def main() -> int:
         assert is_total_orthogonal(T - tcm.lambda0 * A, A).orthogonal
         agree += 1
     print(f"orthogonality routes agreed on {agree}/{args.pairs} pairs; center shifts orthogonal")
+
+    brng = np.random.default_rng([args.seed, 1])
+    shifts = np.linspace(0.2, 3.0, 60)
+    disagree = 0
+    for i in range(40):
+        T, A = orthogonal_pair(brng, sizes[i % 3])
+        step = 1e-6 * np.linalg.norm(A, 2) / np.linalg.norm(T, 2) * T
+        for f in shifts:
+            try:
+                is_real_orthogonal(T, A + f * step)
+            except RouteDisagreement:
+                disagree += 1
+    print(f"real verdict routes disagreed near the boundary on {disagree}/{40 * len(shifts)} pairs")
     print(f"elapsed {time.perf_counter() - t0:.1f}s")
     return 0
 

@@ -1,4 +1,4 @@
-"""Print the four worked reference cases next to their closed forms.
+"""Print the five worked reference cases next to their closed forms.
 
 Usage: python3 scripts/run_golden_cases.py
 """
@@ -16,6 +16,10 @@ from optrig import (
     total_trig_report,
     trig_report,
 )
+
+
+def gauss(rng: np.random.Generator, n: int) -> np.ndarray:
+    return (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2)
 
 
 def row(label: str, got: float, want: float) -> None:
@@ -63,6 +67,19 @@ def main() -> int:
     rc = real_center_of_mass(1e-8 * np.diag([1.0, 2.0, 7.0]), np.eye(3))
     row("1e-8 diag(1,2,7): eps0/1e-8", rc.epsilon0 / 1e-8, 4.0)
     row("1e-8 diag(1,2,7): res/1e-8", rc.residual / 1e-8, 3.0)
+
+    print("case 5: a unique center relative to a singular A")
+    # the complex Ginibre pair of default_rng(11), A drawn first, sigma_3(A) set
+    # to 0: the residual exceeds m0 = ||T on ker A||, which rules out a flat minimum
+    rng = np.random.default_rng(11)
+    u, s, vh = np.linalg.svd(gauss(rng, 3))
+    As = (u * [s[0], s[1], 0.0]) @ vh
+    Ts = gauss(rng, 3)
+    rc = real_center_of_mass(Ts, As)
+    m0 = float(np.linalg.norm(Ts @ vh[2].conj()))
+    print(f"  {'residual, m0':28s} {rc.residual:.10f}, {m0:.10f}   margin {rc.residual - m0:.4f}")
+    lo, hi = rc.flat_interval
+    print(f"  {'flat interval width':28s} {hi - lo:.1e}   unique flag {rc.unique}   center_uniqueness(A): {center_uniqueness(As)}")
     return 0
 
 

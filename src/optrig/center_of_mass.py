@@ -14,10 +14,15 @@ top singular pair of T - lam*A certifies. Each cut removes at least 4/9 of
 the area (Grunbaum 1960) and no minimizer. The search compares no function
 values and uses no seeds, and is exact for kinks and flat minimizer sets.
 
-flat_interval approximates the exact minimizer set: the sub-level set of
-the residual plus a slack of 1e-14 ||T|| (never more than tol ||T||), which
-sits above the rounding of the norms. Every threshold is relative to ||T||
-or to the search radius, so the results scale with T -> sT, A -> tA.
+A minimum m taken on a segment forces Ax = 0 for a unit x attaining it at
+the midpoint (the Hilbert norm is strictly convex), so m = m0 = ||T on ker A||.
+`unique` certifies a single center by m0 = 0 or residual > m0. ker A is
+spanned by the right singular vectors of A whose sigma * radius is within
+the value slack of 1e-14 ||T|| (never more than tol ||T||), and m0 is read
+as the Frobenius norm of T on them, an upper bound that is exact on a line.
+flat_interval is then (epsilon0, epsilon0), and otherwise the sub-level set
+of the residual plus the slack. Every threshold is relative to ||T|| or to
+the search radius, so the results scale with T -> sT, A -> tA.
 
 Witnesses come, with no seeds, from eigenvectors of the Hermitian parts of
 the pairing form K on the maximizing subspace of T - c*A (total: of e^{it} K).
@@ -37,13 +42,11 @@ from .linalg import (
     as_operator_pair,
     maximizing_subspace,
     operator_norm,
-    operator_norms,
     phase_normalize,
     sigma_min,
 )
 
 _FLAT_SLACK = 1e-14  # value slack of the flat minimizer set, relative to ||T||
-_UNIQUE_RADIUS = 1e-4  # relative to the search radius
 # relative gap between an upper and a lower bound that ends an angle walk
 _CERTIFICATE = 1e-12
 _SCAN = 16  # angles of the numerical-range scan of the total witness
@@ -135,16 +138,9 @@ def _centroid(P: list) -> tuple[float, float]:
     return x0 + cx / (3.0 * area), y0 + cy / (3.0 * area)
 
 
-def _march_edge(f, inside: float, bound: float, step: float, level: float, res: float) -> float:
-    """Outermost point of the sub-level set {f <= level} of a convex f: march
-    from a point inside toward bound by step, then bisect the last step to res."""
-    while True:
-        outside = min(inside + step, bound) if step > 0 else max(inside + step, bound)
-        if f(outside) > level:
-            break
-        if outside == bound:
-            return bound
-        inside = outside
+def _level_edge(f, inside: float, outside: float, level: float, res: float) -> float:
+    """Edge of the sub-level set {f <= level} of a convex f between a point
+    inside it and one outside, bisected to res on the sign of f - level."""
     while abs(outside - inside) > res:
         mid = 0.5 * (inside + outside)
         if f(mid) <= level:
@@ -154,6 +150,16 @@ def _march_edge(f, inside: float, bound: float, step: float, level: float, res: 
     return inside
 
 
+def _certified_unique(T, A, sa, radius: float, residual: float, slack: float) -> bool:
+    """Whether ||T - c*A|| has a single minimizer, by the ker A certificate of
+    the module docstring; sa are the singular values of A."""
+    if sa[-1] * radius > slack:  # ker A = {0}
+        return True
+    s, vh = np.linalg.svd(A)[1:]
+    m0 = float(np.linalg.norm(T @ vh[s * radius <= slack].conj().T))
+    return m0 <= slack or residual > m0 + slack
+
+
 def _basis_vector(n: int) -> np.ndarray:
     e = np.zeros(n, dtype=np.complex128)
     e[0] = 1.0
@@ -161,17 +167,16 @@ def _basis_vector(n: int) -> np.ndarray:
 
 
 def real_center_of_mass(T, A, tol: float = 1e-9) -> RealCenterResult:
-    """Real scalar minimizing ||T - eps*A||, with minimizer-set detection.
+    """Real scalar minimizing ||T - eps*A||, with its minimizer set.
 
-    The flat interval is marched out on values from the bisection point, a
-    minimizer to an ulp of the radius. epsilon0 is that point when the
-    interval is within the unique radius (rounding decides where the edges
-    of a smooth minimum cross the slack level), and its midpoint otherwise.
-    tol caps the value slack, relative to ||T||; the default slack is much
-    tighter so the interval tracks the exact minimizer set.
+    epsilon0 is the bisection point, a minimizer to an ulp of the radius, if
+    the ker A certificate holds (`unique`). Otherwise the edges of the flat
+    interval are bisected on values, and epsilon0 is its midpoint. tol caps
+    the value slack, relative to ||T||; the default slack is much tighter.
     """
     T, A = as_operator_pair(T, A)
-    na = operator_norm(A)
+    sa = np.linalg.svd(A, compute_uv=False)
+    na = float(sa[0])
     if na == 0.0:
         raise ZeroRelativeOperator("relative operator A is zero")
     nt = operator_norm(T)
@@ -199,13 +204,13 @@ def real_center_of_mass(T, A, tol: float = 1e-9) -> RealCenterResult:
         if g == 0.0 or s[0] == 0.0 or hi - lo <= 2.0**-52 * radius:
             break
         lo, hi = (lo, x0) if g > 0.0 else (x0, hi)
-    residual = float(s[0])
-    level = residual + min(tol, _FLAT_SLACK) * nt
-    spacing, res = radius / 1000.0, 1e-14 * radius
-    lo = _march_edge(f, x0, -radius, -spacing, level, res)
-    hi = _march_edge(f, x0, radius, spacing, level, res)
-    unique = (hi - lo) <= 2.0 * _UNIQUE_RADIUS * radius
-    epsilon0 = x0 if unique else 0.5 * (lo + hi)
+    residual, slack = float(s[0]), min(tol, _FLAT_SLACK) * nt
+    unique = _certified_unique(T, A, sa, radius, residual, slack)
+    lo = hi = epsilon0 = x0
+    if not unique:  # f is convex and its minimizers lie in [-radius, radius]
+        level = residual + slack
+        lo, hi = (_level_edge(f, x0, b, level, 1e-14 * radius) for b in (-radius, radius))
+        epsilon0 = 0.5 * (lo + hi)
     witness = extract_witness(T, A, epsilon0, total=False)
     return RealCenterResult(
         epsilon0=epsilon0,
@@ -217,9 +222,10 @@ def real_center_of_mass(T, A, tol: float = 1e-9) -> RealCenterResult:
 
 
 def total_center_of_mass(T, A, tol: float = 1e-9) -> TotalCenterResult:
-    """Complex scalar minimizing ||T - lam*A||, with non-uniqueness probing."""
+    """Complex scalar minimizing ||T - lam*A||; `unique` is the ker A certificate."""
     T, A = as_operator_pair(T, A)
-    na = operator_norm(A)
+    sa = np.linalg.svd(A, compute_uv=False)
+    na = float(sa[0])
     if na == 0.0:
         raise ZeroRelativeOperator("relative operator A is zero")
     nt = operator_norm(T)
@@ -243,13 +249,7 @@ def total_center_of_mass(T, A, tol: float = 1e-9) -> TotalCenterResult:
             break
         P = cut
     lambda0, residual = complex(*c), float(s[0])
-
-    angles = np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False)
-    ring = lambda0 + _UNIQUE_RADIUS * radius * np.exp(1j * angles)
-    ring_vals = operator_norms(T - ring[:, None, None] * A)
-    level = residual + min(tol, _FLAT_SLACK) * nt
-    unique = not bool(np.any(ring_vals <= level))
-
+    unique = _certified_unique(T, A, sa, radius, residual, min(tol, _FLAT_SLACK) * nt)
     witness = extract_witness(T, A, lambda0, total=True)
     return TotalCenterResult(lambda0=lambda0, residual=residual, unique=unique, witness=witness)
 
@@ -260,7 +260,7 @@ def center_uniqueness(A, tol: float = 1e-9) -> bool:
     In finite dimension the certificate is sigma_min(A) > tol: then no
     unit sequence can annihilate A and the minimizer of ||T - eps*A|| is
     a single point. A false return means no certificate, not a proof of
-    non-uniqueness (a center result carries the observed flat interval).
+    non-uniqueness; a center's `unique` is the stronger ker A certificate.
     """
     A = as_operator(A)
     return bool(sigma_min(A) > tol)

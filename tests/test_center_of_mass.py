@@ -154,6 +154,38 @@ def test_flat_pair_reports_full_interval_and_non_uniqueness():
     assert not tc.unique
 
 
+def singular_pair():
+    # the Ginibre pair of default_rng(11), A drawn first, with sigma_3(A) set to 0
+    rng = np.random.default_rng(11)
+    u, s, vh = np.linalg.svd(gauss_matrix(rng, 3))
+    A = (u * [s[0], s[1], 0.0]) @ vh
+    return gauss_matrix(rng, 3), A, vh[2].conj()
+
+
+def test_singular_relative_certifies_unique_centers_above_the_kernel_norm():
+    # residual 2.1176 > m0 = ||T on ker A|| = 1.3710: no flat minimum, though
+    # A is singular, so the flat interval is the point epsilon0
+    T, A, null = singular_pair()
+    rc, tc = real_center_of_mass(T, A), total_center_of_mass(T, A)
+    assert rc.residual == pytest.approx(2.1176, abs=1e-4)
+    assert np.linalg.norm(T @ null) == pytest.approx(1.3710, abs=1e-4)
+    assert rc.unique and tc.unique
+    assert rc.flat_interval == (rc.epsilon0, rc.epsilon0)
+    assert not center_uniqueness(A)
+
+
+def test_knife_edge_minimum_at_the_kernel_norm_is_not_certified():
+    # ||diag(1, -eps, 2 - eps)|| = max(1, |eps|, |2 - eps|) takes its minimum
+    # m = m0 = 1 at the single point 1: unique, but residual = m0 leaves the
+    # ker A certificate unmet, so `unique` reports no certificate
+    T, A = np.diag([1.0, 0.0, 2.0]), np.diag([0.0, 1.0, 1.0])
+    rc, tc = real_center_of_mass(T, A), total_center_of_mass(T, A)
+    assert rc.unique is False and tc.unique is False
+    assert rc.flat_interval == pytest.approx((1.0, 1.0), abs=1e-12)
+    assert rc.epsilon0 == pytest.approx(1.0, abs=1e-12)
+    assert abs(tc.lambda0 - 1.0) <= 1e-12
+
+
 def test_zero_operator_centers_at_origin():
     rc = real_center_of_mass(np.zeros((2, 2)), np.eye(2))
     assert rc.epsilon0 == 0.0
@@ -502,15 +534,31 @@ def test_total_center_svd_budget(monkeypatch):
 
 
 def test_real_center_svd_budget(monkeypatch):
-    # bisection on the subgradient sign to an ulp of the radius, then the march;
-    # the golden-section search took 147 SVDs on the Ginibre pair and 145 on
-    # the orthogonal one
+    # bisection on the subgradient sign to an ulp of the radius, then the ker A
+    # certificate; a march out of the flat interval on values took 137 SVDs on
+    # the Ginibre pair and 136 on the orthogonal one, and 1,083 on the flat
+    # pair, whose edges are now bisected
     rng = np.random.default_rng(4)
     pairs = [(gauss_matrix(rng, 4), gauss_matrix(rng, 4)), orthogonal_pair(np.random.default_rng(7), 4)]
-    for (T, A), parent in zip(pairs, (147, 145)):
+    pairs.append((np.diag([1.0, 0.0]), np.diag([0.0, 1.0])))
+    for (T, A), budget in zip(pairs, (70, 70, 150)):
         calls = counting(monkeypatch)
         real_center_of_mass(T, A)
-        assert calls[0] < parent
+        assert calls[0] <= budget
+        monkeypatch.undo()
+
+
+def test_uniqueness_certificate_svd_count_on_the_total_center(monkeypatch):
+    # the certificate reads sigma_min(A) off the SVD that gives ||A||, and takes
+    # a full SVD of A only when ker A is not {0}; a 16-point ring probe took 109
+    # SVDs on the Ginibre pair, 105 on the orthogonal one, and 8 on the flat pair
+    rng = np.random.default_rng(4)
+    pairs = [(gauss_matrix(rng, 4), gauss_matrix(rng, 4)), orthogonal_pair(np.random.default_rng(7), 4)]
+    pairs.append((np.diag([1.0, 0.0]), np.diag([0.0, 1.0])))
+    for (T, A), parent in zip(pairs, (109, 105, 8)):
+        calls = counting(monkeypatch)
+        total_center_of_mass(T, A)
+        assert calls[0] <= parent
         monkeypatch.undo()
 
 
@@ -533,31 +581,33 @@ def test_total_cos_eigh_budget_on_hpd_input(monkeypatch):
 
 
 SCALES = [1e-8, 1.0, 1e8]
-# B and A of the scale tests
-PAIR = np.random.default_rng(5).standard_normal((3, 3)), np.random.default_rng(6).standard_normal((3, 3))
+# B and A of the scale tests: the real 3x3 standard normals of default_rng(5)
+# and default_rng(6), and T = A = diag(0, 1), whose ker A is killed by T
+# (m0 = 0) and whose residual is 0
+PAIRS = [
+    (np.random.default_rng(5).standard_normal((3, 3)), np.random.default_rng(6).standard_normal((3, 3))),
+    (np.diag([0.0, 1.0]), np.diag([0.0, 1.0])),
+]
 
 
 @pytest.mark.parametrize("t", SCALES)
 @pytest.mark.parametrize("s", SCALES)
 def test_real_center_is_scale_equivariant(s, t):
-    B, A = PAIR
-    base, rc = real_center_of_mass(B, A), real_center_of_mass(s * B, t * A)
-    assert rc.epsilon0 * t / s == pytest.approx(base.epsilon0, rel=1e-12)
-    # the edges sit where rounding of the norms crosses the slack level, a
-    # relative 1e-14 above the minimum: on this smooth minimum that moves them
-    # by a relative ~1e-8
-    assert np.array(rc.flat_interval) * t / s == pytest.approx(base.flat_interval, rel=1e-7)
-    assert rc.unique and base.unique
-    assert is_real_orthogonal(s * B, t * A).orthogonal == is_real_orthogonal(B, A).orthogonal
+    for B, A in PAIRS:
+        base, rc = real_center_of_mass(B, A), real_center_of_mass(s * B, t * A)
+        assert rc.epsilon0 * t / s == pytest.approx(base.epsilon0, rel=1e-12)
+        assert np.array(rc.flat_interval) * t / s == pytest.approx(base.flat_interval, rel=1e-12)
+        assert rc.unique and base.unique
+        assert is_real_orthogonal(s * B, t * A).orthogonal == is_real_orthogonal(B, A).orthogonal
 
 
 @pytest.mark.parametrize("t", SCALES)
 @pytest.mark.parametrize("s", SCALES)
 def test_total_center_is_scale_equivariant(s, t):
-    B, A = PAIR
-    base, tc = total_center_of_mass(B, A), total_center_of_mass(s * B, t * A)
-    assert tc.lambda0 * t / s == pytest.approx(base.lambda0, rel=1e-12)
-    assert tc.unique and base.unique
+    for B, A in PAIRS:
+        base, tc = total_center_of_mass(B, A), total_center_of_mass(s * B, t * A)
+        assert tc.lambda0 * t / s == pytest.approx(base.lambda0, rel=1e-12)
+        assert tc.unique and base.unique
 
 
 # (1 + i) G + 2I, G the standard normal 3x3 of default_rng(3), and a Ginibre

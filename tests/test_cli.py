@@ -9,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 
+from conftest import gauss_matrix, invertible_matrix
 from optrig import cli
 
 PKG_ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -124,6 +125,18 @@ def test_center_of_mass_flat_pair():
     assert lo <= -0.99 and hi >= 0.99
     assert doc["results"]["unique"] is False
     assert doc["results"]["relative_nonsingular"] is False
+
+
+def test_total_cos_is_zero_with_zero_inside_the_numerical_range(tmp_path):
+    # the invertible n = 3 draw of default_rng([49, 0]), after an accretive
+    # one: 0 lies inside W(T) (every lambda_max(Re e^{it} T) >= 0.52), so
+    # total cos T = 0 exactly, and that is a result, not a failure
+    rng = np.random.default_rng([49, 0])
+    gauss_matrix(rng, 3)
+    T = invertible_matrix(rng, 3)
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps({"n": 3, "entries": [[[z.real, z.imag] for z in row] for row in T]}))
+    assert report_of("total-cos", "--matrix", str(path))["results"]["total_cos"] == 0.0
 
 
 def test_w0_and_minmax_commands():
