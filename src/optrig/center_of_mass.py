@@ -5,14 +5,15 @@ eps -> ||T - eps*A||; the total center is a complex minimizer of
 lam -> ||T - lam*A||. Any minimizer lies in the closed interval (disk)
 of radius 2||T||/||A||, which bounds every search here.
 
-Both maps are convex. The real center is found by bisection on the sign of
-the subgradient -Re u*Av, (u, v) a top singular pair of T - eps*A. The total
-center is found by the centre-of-gravity method (Levin 1965;
+Both maps are convex, and one solver (_solve) runs both: the setup, the
+search, the uniqueness certificate and the witness. The real search bisects
+on the sign of the subgradient -Re u*Av, (u, v) a top singular pair of
+T - eps*A. The total search is the centre-of-gravity method (Levin 1965;
 Newman 1965): a polygon holding every minimizer, starting as the square
 around that disk, is cut through its centroid by the half-plane that one
 top singular pair of T - lam*A certifies. Each cut removes at least 4/9 of
-the area (Grunbaum 1960) and no minimizer. The search compares no function
-values and uses no seeds, and is exact for kinks and flat minimizer sets.
+the area (Grunbaum 1960) and no minimizer. Neither search compares function
+values or uses seeds; both are exact for kinks and flat minimizer sets.
 
 A minimum m taken on a segment forces Ax = 0 for a unit x attaining it at
 the midpoint (the Hilbert norm is strictly convex), so m = m0 = ||T on ker A||.
@@ -21,11 +22,16 @@ spanned by the right singular vectors of A whose sigma * radius is within
 the value slack of 1e-14 ||T|| (never more than tol ||T||), and m0 is read
 as the Frobenius norm of T on them, an upper bound that is exact on a line.
 flat_interval is then (epsilon0, epsilon0), and otherwise the sub-level set
-of the residual plus the slack. Every threshold is relative to ||T|| or to
-the search radius, so the results scale with T -> sT, A -> tA.
+of the residual plus the slack.
 
-Witnesses come, with no seeds, from eigenvectors of the Hermitian parts of
-the pairing form K on the maximizing subspace of T - c*A (total: of e^{it} K).
+c is a center exactly when a norm-attaining x of T - c*A has <(T - cA)x, Ax>
+= 0 (its real part, for the real center). The witness x comes, with no
+seeds, from the full SVD the search took at the reported point (one more at
+the midpoint of a flat interval): eigenvectors of the Hermitian parts of the
+pairing form K on the maximizing subspace of T - c*A (total: of e^{it} K).
+A pairing above 1e-6 ||T - cA|| ||A|| raises WitnessNotFound, so a search that
+stopped off the minimizer cannot pass. Every threshold is relative to ||T||,
+||T - cA|| ||A|| or the radius, so the results scale with T -> sT, A -> tA.
 """
 
 from __future__ import annotations
@@ -40,10 +46,11 @@ from .errors import WitnessNotFound, ZeroRelativeOperator
 from .linalg import (
     as_operator,
     as_operator_pair,
-    maximizing_subspace,
     operator_norm,
+    pairing_form,
     phase_normalize,
     sigma_min,
+    top_singular_basis,
 )
 
 _FLAT_SLACK = 1e-14  # value slack of the flat minimizer set, relative to ||T||
@@ -138,15 +145,13 @@ def _centroid(P: list) -> tuple[float, float]:
     return x0 + cx / (3.0 * area), y0 + cy / (3.0 * area)
 
 
-def _level_edge(f, inside: float, outside: float, level: float, res: float) -> float:
-    """Edge of the sub-level set {f <= level} of a convex f between a point
-    inside it and one outside, bisected to res on the sign of f - level."""
+def _level_edge(T, A, inside: float, outside: float, level: float, res: float) -> float:
+    """Edge of the sub-level set {eps : ||T - eps*A|| <= level} between a point
+    inside it and one outside, bisected to res on the sign of the excess."""
     while abs(outside - inside) > res:
         mid = 0.5 * (inside + outside)
-        if f(mid) <= level:
-            inside = mid
-        else:
-            outside = mid
+        below = np.linalg.svd(T - mid * A, compute_uv=False)[0] <= level
+        inside, outside = (mid, outside) if below else (inside, mid)
     return inside
 
 
@@ -160,10 +165,60 @@ def _certified_unique(T, A, sa, radius: float, residual: float, slack: float) ->
     return m0 <= slack or residual > m0 + slack
 
 
-def _basis_vector(n: int) -> np.ndarray:
-    e = np.zeros(n, dtype=np.complex128)
-    e[0] = 1.0
-    return e
+def _probe(T, A, c):
+    """Full SVD of T - c*A, and g = u*Av at its top singular pair (u, v):
+    ||T - mu*A|| >= ||T - c*A|| + a.(mu - c) with a = (-Re g, Im g)."""
+    svd = np.linalg.svd(T - c * A)
+    return svd, complex(np.vdot(svd[0][:, 0], A @ svd[2][0].conj()))
+
+
+def _bisect(T, A, radius: float):
+    """Last point and its full SVD of the bisection of [-radius, radius] on the
+    sign of -Re g, down to a zero subgradient or residual or an ulp."""
+    lo, hi = -radius, radius
+    while True:
+        c = 0.5 * (lo + hi)
+        svd, g = _probe(T, A, c)
+        if g.real == 0.0 or svd[1][0] == 0.0 or hi - lo <= 2.0**-52 * radius:
+            return c, svd
+        lo, hi = (lo, c) if g.real < 0.0 else (c, hi)
+
+
+def _cut(T, A, radius: float):
+    """Last centroid and its full SVD of central cuts of a polygon P holding every
+    minimizer: a.(mu - c) <= 0 through the centroid c keeps them all. The loop
+    stops on a cut that removes nothing (a = 0, c a minimizer, or P flat)."""
+    P = [(-radius, -radius), (radius, -radius), (radius, radius), (-radius, radius)]
+    for _ in range(_CUTS):
+        c = _centroid(P)
+        svd, g = _probe(T, A, complex(*c))
+        cut = _clip(P, (-g.real, g.imag), c)
+        if cut == P or len(cut) < 3 or np.ptp(cut, axis=0).max() <= 1e-15 * radius:
+            break
+        P = cut
+    return complex(*c), svd
+
+
+def _solve(T, A, tol: float, total: bool):
+    """(center, residual, flat_interval, unique, witness) of the real (_bisect)
+    or total (_cut) center. T = 0 needs no case of its own: the radius is 0,
+    so the search returns c = 0 at residual 0, and the witness is e1."""
+    T, A = as_operator_pair(T, A)
+    sa = np.linalg.svd(A, compute_uv=False)
+    if sa[0] == 0.0:
+        raise ZeroRelativeOperator("relative operator A is zero")
+    nt, na = operator_norm(T), float(sa[0])
+    radius, slack = 2.0 * nt / na, min(tol, _FLAT_SLACK) * nt
+    c, svd = (_cut if total else _bisect)(T, A, radius)
+    residual = float(svd[1][0])
+    unique = _certified_unique(T, A, sa, radius, residual, slack)
+    flat = (c, c)
+    if not (unique or total):  # the minimizers form a segment in [-radius, radius]
+        level, res = residual + slack, 1e-14 * radius
+        flat = tuple(_level_edge(T, A, c, b, level, res) for b in (-radius, radius))
+        c = 0.5 * (flat[0] + flat[1])
+        svd = np.linalg.svd(T - c * A)
+    return c, residual, flat, unique, _witness(T - c * A, A, svd, nt, na, total)
 
 
 def real_center_of_mass(T, A, tol: float = 1e-9) -> RealCenterResult:
@@ -174,84 +229,13 @@ def real_center_of_mass(T, A, tol: float = 1e-9) -> RealCenterResult:
     interval are bisected on values, and epsilon0 is its midpoint. tol caps
     the value slack, relative to ||T||; the default slack is much tighter.
     """
-    T, A = as_operator_pair(T, A)
-    sa = np.linalg.svd(A, compute_uv=False)
-    na = float(sa[0])
-    if na == 0.0:
-        raise ZeroRelativeOperator("relative operator A is zero")
-    nt = operator_norm(T)
-    n = T.shape[0]
-    if nt == 0.0:
-        return RealCenterResult(
-            epsilon0=0.0,
-            residual=0.0,
-            flat_interval=(0.0, 0.0),
-            unique=True,
-            witness=_basis_vector(n),
-        )
-    radius = 2.0 * nt / na
-
-    def f(eps: float) -> float:
-        return float(np.linalg.svd(T - eps * A, compute_uv=False)[0])
-
-    # bisection on the sign of the subgradient -Re u*Av of f at a top singular
-    # pair (u, v) of T - eps*A, down to a zero subgradient or residual or an ulp
-    lo, hi = -radius, radius
-    while True:
-        x0 = 0.5 * (lo + hi)
-        u, s, vh = np.linalg.svd(T - x0 * A)
-        g = -np.vdot(u[:, 0], A @ vh[0].conj()).real
-        if g == 0.0 or s[0] == 0.0 or hi - lo <= 2.0**-52 * radius:
-            break
-        lo, hi = (lo, x0) if g > 0.0 else (x0, hi)
-    residual, slack = float(s[0]), min(tol, _FLAT_SLACK) * nt
-    unique = _certified_unique(T, A, sa, radius, residual, slack)
-    lo = hi = epsilon0 = x0
-    if not unique:  # f is convex and its minimizers lie in [-radius, radius]
-        level = residual + slack
-        lo, hi = (_level_edge(f, x0, b, level, 1e-14 * radius) for b in (-radius, radius))
-        epsilon0 = 0.5 * (lo + hi)
-    witness = extract_witness(T, A, epsilon0, total=False)
-    return RealCenterResult(
-        epsilon0=epsilon0,
-        residual=residual,
-        flat_interval=(lo, hi),
-        unique=unique,
-        witness=witness,
-    )
+    return RealCenterResult(*_solve(T, A, tol, total=False))
 
 
 def total_center_of_mass(T, A, tol: float = 1e-9) -> TotalCenterResult:
     """Complex scalar minimizing ||T - lam*A||; `unique` is the ker A certificate."""
-    T, A = as_operator_pair(T, A)
-    sa = np.linalg.svd(A, compute_uv=False)
-    na = float(sa[0])
-    if na == 0.0:
-        raise ZeroRelativeOperator("relative operator A is zero")
-    nt = operator_norm(T)
-    n = T.shape[0]
-    if nt == 0.0:
-        return TotalCenterResult(
-            lambda0=0.0 + 0.0j, residual=0.0, unique=True, witness=_basis_vector(n)
-        )
-    radius = 2.0 * nt / na
-    # Central cutting planes. A top singular pair (u, v) of T - cA, g = u*Av, gives
-    # ||T - mu A|| >= ||T - cA|| + a.(mu - c), a = (-Re g, Im g), so the cut
-    # a.(mu - c) <= 0 through the centroid c of P keeps every minimizer mu. A cut
-    # that removes nothing, for a = 0 (c is a minimizer) or a flat P, would recur.
-    P = [(-radius, -radius), (radius, -radius), (radius, radius), (-radius, radius)]
-    for _ in range(_CUTS):
-        c = _centroid(P)
-        u, s, vh = np.linalg.svd(T - complex(*c) * A)
-        g = complex(np.vdot(u[:, 0], A @ vh[0].conj()))
-        cut = _clip(P, (-g.real, g.imag), c)
-        if cut == P or len(cut) < 3 or np.ptp(cut, axis=0).max() <= 1e-15 * radius:
-            break
-        P = cut
-    lambda0, residual = complex(*c), float(s[0])
-    unique = _certified_unique(T, A, sa, radius, residual, min(tol, _FLAT_SLACK) * nt)
-    witness = extract_witness(T, A, lambda0, total=True)
-    return TotalCenterResult(lambda0=lambda0, residual=residual, unique=unique, witness=witness)
+    lam, residual, _, unique, witness = _solve(T, A, tol, total=True)
+    return TotalCenterResult(lam, residual, unique, witness)
 
 
 def center_uniqueness(A, tol: float = 1e-9) -> bool:
@@ -389,29 +373,33 @@ def _total_form_witness(K: np.ndarray) -> tuple[np.ndarray, float]:
     return found[best], values[best]
 
 
+def _witness(B, A, svd, nt: float, na: float, total: bool, witness_tol: float = 1e-6):
+    """The witness of the center c from a full SVD of B = T - c*A (see
+    extract_witness); nt and na are ||T|| and ||A||."""
+    nb = float(svd[1][0])
+    if nb <= 1e-12 * nt:
+        return np.eye(1, B.shape[0], dtype=np.complex128)[0]  # e1
+    V = top_singular_basis(*svd[1:])
+    y, value = (_total_form_witness if total else _real_form_witness)(pairing_form(B, A, V))
+    if abs(value) > witness_tol * nb * na:
+        raise WitnessNotFound(
+            f"best {'total' if total else 'real'} witness pairing {value:.3e} exceeds "
+            "tolerance; center is likely not a minimizer"
+        )
+    return phase_normalize(V @ y)
+
+
 def extract_witness(
     T, A, center: complex | float, total: bool = False, witness_tol: float = 1e-6
 ) -> np.ndarray:
     """Unit vector certifying the center: norm-attaining for B = T - center*A,
-    with Re <Bx, Ax> ~ 0 (real case) or <Bx, Ax> ~ 0 (total case).
+    with Re <Bx, Ax> ~ 0 (real case) or <Bx, Ax> ~ 0 (total case), to
+    witness_tol * ||B|| ||A||.
 
     The search runs over the maximizing subspace of B, where norm-attaining
-    vectors live. For B ~ 0 every unit vector qualifies; e1 by convention.
+    vectors live. For ||B|| <= 1e-12 ||T|| every unit vector qualifies; e1
+    by convention. Raises WitnessNotFound when no vector qualifies.
     """
     T, A = as_operator_pair(T, A)
-    n = T.shape[0]
-    B = T - complex(center) * A
-    nb = operator_norm(B)
-    na = operator_norm(A)
-    if nb <= 1e-12 * max(1.0, operator_norm(T)):
-        return _basis_vector(n)
-    V = maximizing_subspace(B).basis
-    K = (A @ V).conj().T @ (B @ V)
-    y, value = (_total_form_witness if total else _real_form_witness)(K)
-    if abs(value) > witness_tol * max(1.0, nb * na):
-        kind = "total" if total else "real"
-        raise WitnessNotFound(
-            f"best {kind} witness pairing {value:.3e} exceeds tolerance; "
-            "center is likely not a minimizer"
-        )
-    return phase_normalize(V @ y)
+    B = T - center * A
+    return _witness(B, A, np.linalg.svd(B), operator_norm(T), operator_norm(A), total, witness_tol)

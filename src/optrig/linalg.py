@@ -151,8 +151,17 @@ def maximizing_subspace(T: np.ndarray, tol_subspace: float = 1e-8) -> Maximizing
     smax = float(s[0])
     if smax == 0.0:
         raise ZeroOperator("maximizing subspace undefined for the zero operator")
-    keep = s >= (1.0 - tol_subspace) * smax
-    return MaximizingSubspace(basis=vh[keep].conj().T.copy(), sigma_max=smax)
+    return MaximizingSubspace(basis=top_singular_basis(s, vh, tol_subspace), sigma_max=smax)
+
+
+def top_singular_basis(s: np.ndarray, vh: np.ndarray, tol_subspace: float = 1e-8) -> np.ndarray:
+    """Columns: the rows of vh whose s lie within a relative tol_subspace of s[0]."""
+    return vh[s >= (1.0 - tol_subspace) * s[0]].conj().T.copy()
+
+
+def pairing_form(B: np.ndarray, A: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """K = (AV)*(BV), so that <BVy, AVy> = y* K y: the pairing form on span V."""
+    return (A @ V).conj().T @ (B @ V)
 
 
 def haar_unit_vector(rng: np.random.Generator, n: int) -> np.ndarray:

@@ -27,7 +27,13 @@ from .center_of_mass import (
     total_center_of_mass,
 )
 from .errors import RouteDisagreement, ZeroOperator, ZeroRelativeOperator
-from .linalg import as_operator_pair, maximizing_subspace, operator_norm, phase_normalize
+from .linalg import (
+    as_operator_pair,
+    maximizing_subspace,
+    operator_norm,
+    pairing_form,
+    phase_normalize,
+)
 from .sphere_opt import SphereOptConfig
 
 
@@ -53,13 +59,6 @@ class OrthogonalityVerdict:
     pairing_min: float | None = None
 
 
-def _pairing_matrix(T: np.ndarray, A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Basis V of the maximizing subspace of T and K with <TVy, AVy> = y* K y."""
-    V = maximizing_subspace(T).basis
-    K = (A @ V).conj().T @ (T @ V)
-    return V, K
-
-
 def attaining_interval(T, A) -> AttainingInterval:
     """Interval [lo, hi] realized by Re <Tx, Ax> on the maximizing subspace of T.
 
@@ -70,7 +69,8 @@ def attaining_interval(T, A) -> AttainingInterval:
     T, A = as_operator_pair(T, A)
     if operator_norm(T) == 0.0:
         raise ZeroOperator("attaining interval undefined for the zero operator")
-    return _interval_of(*_pairing_matrix(T, A))
+    V = maximizing_subspace(T).basis
+    return _interval_of(V, pairing_form(T, A, V))
 
 
 def _interval_of(V: np.ndarray, K: np.ndarray) -> AttainingInterval:
@@ -97,8 +97,8 @@ def attain_pairing_target(
     T, A = as_operator_pair(T, A)
     if operator_norm(T) == 0.0:
         raise ZeroOperator("attaining interval undefined for the zero operator")
-    V, K = _pairing_matrix(T, A)
-    y, _ = _real_form_witness(K, target)
+    V = maximizing_subspace(T).basis
+    y, _ = _real_form_witness(pairing_form(T, A, V), target)
     return phase_normalize(V @ y)
 
 
@@ -112,8 +112,8 @@ def total_pairing_min(
     T, A = as_operator_pair(T, A)
     if operator_norm(T) == 0.0:
         raise ZeroOperator("pairing minimum undefined for the zero operator")
-    V, K = _pairing_matrix(T, A)
-    y, value = _total_form_witness(K)
+    V = maximizing_subspace(T).basis
+    y, value = _total_form_witness(pairing_form(T, A, V))
     return value, phase_normalize(V @ y)
 
 
@@ -133,7 +133,8 @@ def is_real_orthogonal(T, A, tol: float = 1e-6) -> OrthogonalityVerdict:
         raise ZeroOperator("orthogonality undefined for the zero operator")
     if na == 0.0:
         raise ZeroRelativeOperator("relative operator A is zero")
-    V, K = _pairing_matrix(T, A)
+    V = maximizing_subspace(T).basis
+    K = pairing_form(T, A, V)
     iv = _interval_of(V, K)
     tau_pairing = tol * nt * na
     via_w0 = iv.lo <= tau_pairing and iv.hi >= -tau_pairing

@@ -24,14 +24,19 @@ from optrig import (
     extract_witness,
     is_real_orthogonal,
     is_total_orthogonal,
+    minmax_check_complex,
+    minmax_check_real,
     operator_norm,
     real_center_of_mass,
+    sin_t,
     sphere_refine_min,
     total_center_of_mass,
     total_cos_t,
     total_pairing_min,
     total_trig_report,
+    trig_report,
 )
+from optrig import center_of_mass
 from optrig.center_of_mass import _total_form_witness
 
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
@@ -250,6 +255,62 @@ def test_extract_witness_rejects_non_center():
 def test_extract_witness_degenerate_residual_returns_basis_vector():
     w = extract_witness(np.eye(2), np.eye(2), 1.0)
     assert np.allclose(w, [1.0, 0.0])
+
+
+@pytest.mark.parametrize("s", [1.0, 1e-4, 1e-8, 1e-13])
+def test_extract_witness_rejects_non_center_at_every_scale(s):
+    # the pairing at 0 is 2s^2 = ||B|| ||A||; an absolute floor of 1e-6 on the
+    # tolerance (or of 1e-12 on ||B||) let small scales pass
+    with pytest.raises(WitnessNotFound):
+        extract_witness(s * np.diag([1.0, 2.0]), s * np.eye(2), 0.0)
+
+
+_PAIR = (gauss_matrix(np.random.default_rng(11), 3), gauss_matrix(np.random.default_rng(12), 3))
+_ACCRETIVE = accretive_matrix(np.random.default_rng(13), 3)
+CENTER_CALLERS = {
+    "real_center_of_mass": lambda: real_center_of_mass(*_PAIR),
+    "total_center_of_mass": lambda: total_center_of_mass(*_PAIR),
+    "is_real_orthogonal": lambda: is_real_orthogonal(*_PAIR),
+    "is_total_orthogonal": lambda: is_total_orthogonal(*_PAIR),
+    "trig_report": lambda: trig_report(_ACCRETIVE),
+    "total_trig_report": lambda: total_trig_report(_ACCRETIVE),
+    "sin_t": lambda: sin_t(_ACCRETIVE),
+    "minmax_check_real": lambda: minmax_check_real(_ACCRETIVE),
+    "minmax_check_complex": lambda: minmax_check_complex(_ACCRETIVE),
+}
+
+
+@pytest.mark.parametrize("name", CENTER_CALLERS)
+def test_a_center_search_stopped_off_the_minimizer_is_refused(monkeypatch, name):
+    # every caller of a center, also those that read only its residual, gets
+    # the witness check, so a wrong center cannot pass as a value
+    CENTER_CALLERS[name]()
+    for attr in ("_bisect", "_cut"):  # return the point moved by 1e-3 radius, with its SVD
+        def moved(T, A, radius, search=getattr(center_of_mass, attr)):
+            c = search(T, A, radius)[0] + 1e-3 * radius
+            return c, np.linalg.svd(T - c * A)
+
+        monkeypatch.setattr(center_of_mass, attr, moved)
+    with pytest.raises(WitnessNotFound):
+        CENTER_CALLERS[name]()
+
+
+def fast_path_pairs():
+    rng = np.random.default_rng(21)
+    pairs = [(gauss_matrix(rng, n), gauss_matrix(rng, n)) for n in (1, 2, 3, 4, 8) for _ in range(2)]
+    for n in (2, 3, 4, 16):
+        pairs += [(np.eye(n), hpd_matrix(rng, n)), (np.eye(n), accretive_matrix(rng, n))]
+    return pairs + [(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))]
+
+
+def test_center_witness_is_the_public_check_bit_for_bit():
+    # the solver reads the witness off the SVD its search took at the reported
+    # point (for the flat pair, the interval midpoint); extract_witness takes
+    # that SVD afresh and must land on the same vector
+    for T, A in fast_path_pairs():
+        rc, tc = real_center_of_mass(T, A), total_center_of_mass(T, A)
+        assert np.array_equal(rc.witness, extract_witness(T, A, rc.epsilon0))
+        assert np.array_equal(tc.witness, extract_witness(T, A, tc.lambda0, total=True))
 
 
 @given(seeds)
@@ -537,11 +598,12 @@ def test_real_center_svd_budget(monkeypatch):
     # bisection on the subgradient sign to an ulp of the radius, then the ker A
     # certificate; a march out of the flat interval on values took 137 SVDs on
     # the Ginibre pair and 136 on the orthogonal one, and 1,083 on the flat
-    # pair, whose edges are now bisected
+    # pair, whose edges are now bisected. A witness search with SVDs of its own
+    # took 61, 60 and 102; it now reads the search's last SVD
     rng = np.random.default_rng(4)
     pairs = [(gauss_matrix(rng, 4), gauss_matrix(rng, 4)), orthogonal_pair(np.random.default_rng(7), 4)]
     pairs.append((np.diag([1.0, 0.0]), np.diag([0.0, 1.0])))
-    for (T, A), budget in zip(pairs, (70, 70, 150)):
+    for (T, A), budget in zip(pairs, (57, 56, 99)):
         calls = counting(monkeypatch)
         real_center_of_mass(T, A)
         assert calls[0] <= budget
@@ -551,14 +613,15 @@ def test_real_center_svd_budget(monkeypatch):
 def test_uniqueness_certificate_svd_count_on_the_total_center(monkeypatch):
     # the certificate reads sigma_min(A) off the SVD that gives ||A||, and takes
     # a full SVD of A only when ker A is not {0}; a 16-point ring probe took 109
-    # SVDs on the Ginibre pair, 105 on the orthogonal one, and 8 on the flat pair
+    # SVDs on the Ginibre pair, 105 on the orthogonal one, and 8 on the flat pair,
+    # and a witness search with SVDs of its own 108, 104 and 8
     rng = np.random.default_rng(4)
     pairs = [(gauss_matrix(rng, 4), gauss_matrix(rng, 4)), orthogonal_pair(np.random.default_rng(7), 4)]
     pairs.append((np.diag([1.0, 0.0]), np.diag([0.0, 1.0])))
-    for (T, A), parent in zip(pairs, (109, 105, 8)):
+    for (T, A), budget in zip(pairs, (104, 100, 4)):
         calls = counting(monkeypatch)
         total_center_of_mass(T, A)
-        assert calls[0] <= parent
+        assert calls[0] <= budget
         monkeypatch.undo()
 
 
