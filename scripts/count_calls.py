@@ -10,8 +10,10 @@ Pairs (T, A): the 4x4 Ginibre pair of default_rng(4), a 4x4 pair with
 lambda = 0 a center (default_rng(7)), and the flat pair diag(1, 0),
 diag(0, 1); these are the pairs of the SVD-budget tests. Operators T: a
 Hermitian positive-definite U diag(lam) U* with lam uniform in [0.1, 5] at
-n = 4 and 16, so the centers run on I relative to T. The inputs are built
-here with numpy only, so the script runs unchanged against older checkouts.
+n = 4 and 16, so the centers run on I relative to T. The inputs are built by
+the generators of this script's own tests/ (conftest.py and
+test_center_of_mass.orthogonal_pair), whatever checkout is counted, so both
+sides of a comparison see the same matrices as the budget tests.
 
 Prints one line per call: input, entry point, svd count, eigh count, or the
 exception it raised.
@@ -25,32 +27,13 @@ import sys
 import numpy as np
 
 
-def gauss(rng, n):
-    return (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2)
-
-
-def unitary(rng, n):
-    q, r = np.linalg.qr(gauss(rng, n))
-    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
-
-
-def hpd(rng, n):
-    U = unitary(rng, n)
-    return U @ np.diag(rng.uniform(0.1, 5.0, n)) @ U.conj().T
-
-
-def orthogonal_pair(rng, n):
-    sigma = np.concatenate([[1.5], np.sort(rng.uniform(0.1, 1.0, n - 1))[::-1]])
-    U, V = unitary(rng, n), unitary(rng, n)
-    M = gauss(rng, n)
-    M[0, 0] = 0.0
-    return (U * sigma) @ V.conj().T, U @ M @ V.conj().T
-
-
 def main() -> int:
-    root = pathlib.Path(sys.argv[1] if len(sys.argv) > 1 else pathlib.Path(__file__).parent.parent)
-    sys.path.insert(0, str(root.resolve() / "src"))
+    here = pathlib.Path(__file__).resolve().parent.parent
+    root = pathlib.Path(sys.argv[1]).resolve() if len(sys.argv) > 1 else here
+    sys.path[:0] = [str(root / "src"), str(here / "tests")]
     import optrig
+    from conftest import gauss_matrix, hpd_matrix
+    from test_center_of_mass import orthogonal_pair
 
     counts = {"svd": 0, "eigh": 0}
     for name in counts:
@@ -62,11 +45,11 @@ def main() -> int:
 
     rng = np.random.default_rng(4)
     pairs = {
-        "ginibre-n4": (gauss(rng, 4), gauss(rng, 4)),
+        "ginibre-n4": (gauss_matrix(rng, 4), gauss_matrix(rng, 4)),
         "orthogonal-n4": orthogonal_pair(np.random.default_rng(7), 4),
         "flat-n2": (np.diag([1.0, 0.0]), np.diag([0.0, 1.0])),
     }
-    operators = {f"hpd-n{n}": hpd(np.random.default_rng(n), n) for n in (4, 16)}
+    operators = {f"hpd-n{n}": hpd_matrix(np.random.default_rng(n), n) for n in (4, 16)}
     pair_entries = (
         "real_center_of_mass",
         "total_center_of_mass",

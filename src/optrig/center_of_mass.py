@@ -29,9 +29,10 @@ c is a center exactly when a norm-attaining x of T - c*A has <(T - cA)x, Ax>
 seeds, from the full SVD the search took at the reported point (one more at
 the midpoint of a flat interval): eigenvectors of the Hermitian parts of the
 pairing form K on the maximizing subspace of T - c*A (total: of e^{it} K).
-A pairing above 1e-6 ||T - cA|| ||A|| raises WitnessNotFound, so a search that
-stopped off the minimizer cannot pass. Every threshold is relative to ||T||,
-||T - cA|| ||A|| or the radius, so the results scale with T -> sT, A -> tA.
+A pairing above 1e-6 ||T|| ||A|| raises WitnessNotFound, so a search that
+stopped off the minimizer cannot pass (not ||T - cA|| ||A||: at a kink, rounding
+leaves a pairing of the order of the residual). Every threshold is relative to
+||T||, ||T|| ||A|| or the radius, so the results scale with T -> sT, A -> tA.
 """
 
 from __future__ import annotations
@@ -376,12 +377,11 @@ def _total_form_witness(K: np.ndarray) -> tuple[np.ndarray, float]:
 def _witness(B, A, svd, nt: float, na: float, total: bool, witness_tol: float = 1e-6):
     """The witness of the center c from a full SVD of B = T - c*A (see
     extract_witness); nt and na are ||T|| and ||A||."""
-    nb = float(svd[1][0])
-    if nb <= 1e-12 * nt:
+    if svd[1][0] <= 1e-12 * nt:
         return np.eye(1, B.shape[0], dtype=np.complex128)[0]  # e1
     V = top_singular_basis(*svd[1:])
     y, value = (_total_form_witness if total else _real_form_witness)(pairing_form(B, A, V))
-    if abs(value) > witness_tol * nb * na:
+    if abs(value) > witness_tol * nt * na:
         raise WitnessNotFound(
             f"best {'total' if total else 'real'} witness pairing {value:.3e} exceeds "
             "tolerance; center is likely not a minimizer"
@@ -394,7 +394,7 @@ def extract_witness(
 ) -> np.ndarray:
     """Unit vector certifying the center: norm-attaining for B = T - center*A,
     with Re <Bx, Ax> ~ 0 (real case) or <Bx, Ax> ~ 0 (total case), to
-    witness_tol * ||B|| ||A||.
+    witness_tol * ||T|| ||A||.
 
     The search runs over the maximizing subspace of B, where norm-attaining
     vectors live. For ||B|| <= 1e-12 ||T|| every unit vector qualifies; e1

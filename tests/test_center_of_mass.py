@@ -259,10 +259,31 @@ def test_extract_witness_degenerate_residual_returns_basis_vector():
 
 @pytest.mark.parametrize("s", [1.0, 1e-4, 1e-8, 1e-13])
 def test_extract_witness_rejects_non_center_at_every_scale(s):
-    # the pairing at 0 is 2s^2 = ||B|| ||A||; an absolute floor of 1e-6 on the
+    # the pairing at 0 is 2s^2 = ||T|| ||A||; an absolute floor of 1e-6 on the
     # tolerance (or of 1e-12 on ||B||) let small scales pass
     with pytest.raises(WitnessNotFound):
         extract_witness(s * np.diag([1.0, 2.0]), s * np.eye(2), 0.0)
+
+
+_NEAR = gauss_matrix(np.random.default_rng(31), 3)
+TINY_RESIDUAL_PAIRS = {
+    "kink": (np.eye(2), np.diag([1.0, 1.0 + 1e-9])),
+    "near-proportional": (_NEAR + 1e-11 * gauss_matrix(np.random.default_rng(32), 3), _NEAR),
+}
+
+
+@pytest.mark.parametrize("name", TINY_RESIDUAL_PAIRS)
+def test_centers_with_a_tiny_residual_keep_their_witness(name):
+    # the search resolves the minimizer only to rounding, so the pairing there
+    # is of the order of the residual (5e-10 at the kink, 1e-11 ||T|| for the
+    # near-proportional pair); a bound relative to ||T - cA|| ||A|| refused them
+    T, A = TINY_RESIDUAL_PAIRS[name]
+    rc, tc = real_center_of_mass(T, A), total_center_of_mass(T, A)
+    assert rc.residual <= 1e-9 * operator_norm(T)
+    assert tc.residual <= rc.residual * (1.0 + 1e-6)
+    if name == "kink":  # min ||eps diag(1, 1 + d) - I|| = d / (2 + d), the path of sin_t
+        assert rc.residual == pytest.approx(1e-9 / (2.0 + 1e-9), rel=1e-6)
+        assert sin_t(A)[0] == rc.residual
 
 
 _PAIR = (gauss_matrix(np.random.default_rng(11), 3), gauss_matrix(np.random.default_rng(12), 3))
